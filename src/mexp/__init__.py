@@ -67,14 +67,12 @@ from .poincare import (
 )
 from .spectral import (
     CoareaReport,
-    EigensolverError,
     SelfAdjointOperator,
     SpectralResult,
     coarea_check,
     delta_gap,
     delta_operator,
     eigenpairs,
-    jacobi_eigh,
     lambda_operator,
     measured_gap,
     rayleigh,

@@ -114,7 +114,7 @@ def cheeger_conductance(
     for (u, v), w in zip(edges, weights):
         mu_scaled[u] += w
         mu_scaled[v] += w
-    m = graph.measure if constraint is None else [Fraction(x) for x in constraint]
+    m = walk.mu if constraint is None else [Fraction(x) for x in constraint]
     if len(m) != graph.n:
         raise ValueError(f"constraint measure has {len(m)} entries for {graph.n} vertices")
     feas, _ = scaled_integers(m)

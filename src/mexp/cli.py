@@ -19,6 +19,8 @@ import time
 from fractions import Fraction
 from pathlib import Path
 
+import numpy as np
+
 from . import __version__
 from .cheeger import (
     DEFAULT_CAP,
@@ -46,7 +48,7 @@ from .inequalities import (
 )
 from .poincare import optimal_lp_constant
 from .rationals import RationalFormatError, format_rational, parse_rational
-from .spectral import EigensolverError, delta_operator, lambda_operator, spectrum
+from .spectral import delta_operator, lambda_operator, spectrum
 from .walks import WalkError, auxiliary_walk, from_conductance
 
 _USAGE_ERRORS = (
@@ -55,7 +57,6 @@ _USAGE_ERRORS = (
     WalkError,
     NoFeasibleSubset,
     ExactModeInfeasible,
-    EigensolverError,
     ValueError,
     KeyError,
     IndexError,
@@ -72,6 +73,8 @@ def main(argv=None) -> int:
     started = time.monotonic()
     try:
         code, results = args.handler(args)
+    except np.linalg.LinAlgError:
+        raise  # a ValueError subclass, but a LAPACK failure is an internal fault
     except _USAGE_ERRORS as exc:
         message = exc.args[0] if isinstance(exc, KeyError) and exc.args else str(exc)
         print(f"mexp: error: {message}", file=sys.stderr)
@@ -422,7 +425,7 @@ def _cmd_certify(args):
         if r.skipped is None:
             if not (r.symmetric and r.probability and r.supported_off_cutoff):
                 violated = True
-            if r.max_tested_energy is not None and r.max_tested_energy > cert.energy_bound + 1e-8:
+            if r.max_tested_energy is not None and r.max_tested_energy > cert.energy_bound + args.tolerance:
                 violated = True
     return (1 if violated else 0), {
         "rows": rows,

@@ -9,9 +9,7 @@ per-member invariants are exact and reproducible from the member graph alone.
 from __future__ import annotations
 
 import math
-import os
 import random
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Callable, Sequence
@@ -22,18 +20,9 @@ from .cheeger import (
     NoFeasibleSubset,
     cheeger_vertex,
 )
-from .graphs import MeasuredGraph, VertexSubset, bfs_distances, diameter, stats
+from .graphs import MeasuredGraph, VertexSubset, bfs_distances, stats
 from .poincare import kappa_constant
 from .spectral import measured_gap
-
-
-def worker_count() -> int:
-    """Worker pool size, overridable through MEXP_THREADS."""
-    raw = os.environ.get("MEXP_THREADS", "")
-    try:
-        return max(1, int(raw))
-    except ValueError:
-        return 1
 
 
 # -- measures ----------------------------------------------------------------
@@ -74,13 +63,6 @@ def make_complete(n: int, measure=None) -> MeasuredGraph:
     if n < 1:
         raise ValueError("a complete graph needs at least one vertex")
     edges = [(u, v) for u in range(n) for v in range(u + 1, n)]
-    return MeasuredGraph.build(n, edges, measure or counting_measure(n))
-
-
-def make_path(n: int, measure=None) -> MeasuredGraph:
-    if n < 1:
-        raise ValueError("a path needs at least one vertex")
-    edges = [(v, v + 1) for v in range(n - 1)]
     return MeasuredGraph.build(n, edges, measure or counting_measure(n))
 
 
@@ -318,13 +300,7 @@ def family_report(family: GraphFamily, threshold, cap: int = DEFAULT_CAP) -> Fam
             error=error,
         )
 
-    items = list(enumerate(family.members))
-    workers = worker_count()
-    if workers > 1 and len(items) > 1:
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            rows = tuple(pool.map(row, items))
-    else:
-        rows = tuple(row(item) for item in items)
+    rows = tuple(row(item) for item in enumerate(family.members))
 
     gammas = [r.peak_fraction for r in rows]
     partial = any(r.error is not None for r in rows)
@@ -481,9 +457,10 @@ def generalised_certificate(
             sources.append("spectral-bound")
     c_floor = min(cheegers)
 
+    dists = [[bfs_distances(g, (v,)) for v in range(g.n)] for g in members]
+    diameters = [max(max(row) for row in dist) for dist in dists]
     if rho_plus is None:
-        longest = max(diameter(g) for g in members)
-        rho_plus = RhoTable.identity(max(longest, 1))
+        rho_plus = RhoTable.identity(max(max(diameters), 1))
     rho1 = float(rho_plus(1))
     kappa = kappa_constant(big_k, float(s_floor), c_floor, p, rho1)
     bound = 8.0 * kappa
@@ -512,26 +489,24 @@ def generalised_certificate(
             )
             continue
         cutoff = math.log(1.0 / (8.0 * float(gamma))) / math.log(big_k)
-        dist = [bfs_distances(graph, (v,)) for v in range(graph.n)]
-
-        def beyond_cutoff(x: int, y: int) -> bool:
-            # d(x, y) > cutoff  <=>  8 gamma K^d > 1, exactly in rationals
-            return 8 * gamma * big_k ** int(dist[x][y]) > 1
+        dist = dists[index]
+        # d > cutoff  <=>  8 gamma K^d > 1, decided exactly once per distance
+        beyond = [8 * gamma * big_k ** d > 1 for d in range(diameters[index] + 1)]
 
         near_mass = Fraction(0)
         for x in range(graph.n):
             for y in range(graph.n):
-                if not beyond_cutoff(x, y):
+                if not beyond[dist[x][y]]:
                     near_mass += graph.measure[x] * graph.measure[y]
         off_mass = 1 - near_mass
         nu: dict[tuple[int, int], Fraction] = {}
         for x in range(graph.n):
             for y in range(graph.n):
-                if beyond_cutoff(x, y):
+                if beyond[dist[x][y]]:
                     nu[(x, y)] = graph.measure[x] * graph.measure[y] / off_mass
         symmetric = all(nu.get((y, x)) == v for (x, y), v in nu.items())
         probability = sum(nu.values(), Fraction(0)) == 1
-        supported = all(beyond_cutoff(x, y) for (x, y) in nu)
+        supported = all(beyond[dist[x][y]] for (x, y) in nu)
 
         maps = []
         if test_maps is not None and index < len(test_maps):

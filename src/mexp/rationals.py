@@ -7,6 +7,7 @@ uses fractions.Fraction.
 
 from __future__ import annotations
 
+import math
 from fractions import Fraction
 
 
@@ -55,15 +56,5 @@ def scaled_integers(values) -> tuple[list[int], int]:
     the scaled integers equal the corresponding ratios of the originals.
     """
     values = [Fraction(v) for v in values]
-    scale = 1
-    for v in values:
-        d = v.denominator
-        g = _gcd(scale, d)
-        scale = scale // g * d
+    scale = math.lcm(*(v.denominator for v in values))
     return [int(v * scale) for v in values], scale
-
-
-def _gcd(a: int, b: int) -> int:
-    while b:
-        a, b = b, a % b
-    return a

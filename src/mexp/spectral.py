@@ -12,10 +12,10 @@ Two operators are built, both as a pencil (stiffness L, diagonal mass D):
       sum_{u~v} |f(u)-f(v)|^2 (m(u)+m(v)) >= 2 lam sum |f|^2 m
       over functions with sum f(v) m(v) = 0.
 
-The pencil is reduced by D^(-1/2) conjugation and diagonalized with cyclic
-Jacobi rotations: deterministic, no external eigensolver, fine for a few
-hundred vertices.  Float conversion of the rational inputs happens exactly
-once, here; the co-area check below stays fully rational.
+The pencil is reduced by D^(-1/2) conjugation and diagonalized with LAPACK's
+symmetric eigensolver (numpy.linalg.eigh).  Float conversion of the rational
+inputs happens exactly once, here; the co-area check below stays fully
+rational.
 """
 
 from __future__ import annotations
@@ -27,15 +27,9 @@ from typing import Sequence
 import numpy as np
 
 from .graphs import MeasuredGraph
-from .walks import ReversibleWalk, auxiliary_walk
+from .walks import ReversibleWalk
 
 ZERO_TOLERANCE = 1e-9
-_JACOBI_SWEEPS = 100
-_JACOBI_TOL = 1e-12
-
-
-class EigensolverError(RuntimeError):
-    """Jacobi iteration failed to reach the off-diagonal threshold."""
 
 
 @dataclass(frozen=True)
@@ -100,60 +94,6 @@ def lambda_operator(graph: MeasuredGraph) -> SelfAdjointOperator:
     return SelfAdjointOperator(kind="lambda", stiffness=stiff, mass_diagonal=mass)
 
 
-def jacobi_eigh(matrix: np.ndarray, sweeps: int = _JACOBI_SWEEPS, tol: float = _JACOBI_TOL):
-    """Eigendecomposition of a symmetric matrix by cyclic Jacobi rotations.
-
-    Returns (eigenvalues ascending, eigenvectors as columns).  Convergence is
-    declared when the off-diagonal Frobenius norm falls below tol relative to
-    the matrix norm; exceeding the sweep cap raises EigensolverError.
-    """
-    a = np.array(matrix, dtype=float)
-    n = a.shape[0]
-    if a.shape != (n, n):
-        raise ValueError("matrix must be square")
-    if n == 1:
-        return np.array([a[0, 0]]), np.array([[1.0]])
-    v = np.eye(n)
-    scale = max(np.linalg.norm(a), 1.0)
-    # summing the off-diagonal squares directly avoids the cancellation that
-    # norm(a)^2 - norm(diag)^2 suffers once the matrix is nearly diagonal
-    off_mask = ~np.eye(n, dtype=bool)
-    for _ in range(sweeps):
-        off = np.sqrt((a[off_mask] ** 2).sum())
-        if off <= tol * scale:
-            w = np.diag(a).copy()
-            order = np.argsort(w, kind="stable")
-            return w[order], v[:, order]
-        for p in range(n - 1):
-            for q in range(p + 1, n):
-                apq = a[p, q]
-                if abs(apq) <= 1e-300:
-                    continue
-                theta = (a[q, q] - a[p, p]) / (2.0 * apq)
-                t = np.sign(theta) / (abs(theta) + np.sqrt(theta * theta + 1.0))
-                if theta == 0.0:
-                    t = 1.0
-                c = 1.0 / np.sqrt(t * t + 1.0)
-                s = t * c
-                row_p = a[p, :].copy()
-                row_q = a[q, :].copy()
-                a[p, :] = c * row_p - s * row_q
-                a[q, :] = s * row_p + c * row_q
-                col_p = a[:, p].copy()
-                col_q = a[:, q].copy()
-                a[:, p] = c * col_p - s * col_q
-                a[:, q] = s * col_p + c * col_q
-                a[p, q] = 0.0
-                a[q, p] = 0.0
-                vec_p = v[:, p].copy()
-                v[:, p] = c * vec_p - s * v[:, q]
-                v[:, q] = s * vec_p + c * v[:, q]
-    off = np.sqrt((a[off_mask] ** 2).sum())
-    raise EigensolverError(
-        f"Jacobi did not converge in {sweeps} sweeps; off-diagonal norm {off:.3e}"
-    )
-
-
 def eigenpairs(op: SelfAdjointOperator):
     """Eigenvalues (ascending) and pencil eigenvectors of (stiffness, mass).
 
@@ -166,7 +106,7 @@ def eigenpairs(op: SelfAdjointOperator):
     inv_sqrt = 1.0 / np.sqrt(d)
     sym = op.stiffness * np.outer(inv_sqrt, inv_sqrt)
     sym = (sym + sym.T) / 2.0
-    w, u = jacobi_eigh(sym)
+    w, u = np.linalg.eigh(sym)
     vecs = inv_sqrt[:, None] * u
     return w, vecs
 
@@ -174,11 +114,12 @@ def eigenpairs(op: SelfAdjointOperator):
 def spectrum(op: SelfAdjointOperator, zero_tolerance: float = ZERO_TOLERANCE) -> SpectralResult:
     """Full eigenvalue list of the pencil with gap and kernel multiplicity."""
     w, _ = eigenpairs(op)
-    positive = [x for x in w if x >= zero_tolerance]
+    # w is ascending, so the kernel is a prefix and the gap follows it
+    kernel = int(np.count_nonzero(w < zero_tolerance))
     return SpectralResult(
-        eigenvalues=tuple(float(x) for x in w),
-        gap=float(min(positive)) if positive else None,
-        zero_multiplicity=int(sum(1 for x in w if x < zero_tolerance)),
+        eigenvalues=tuple(w.tolist()),
+        gap=float(w[kernel]) if kernel < len(w) else None,
+        zero_multiplicity=kernel,
         zero_tolerance=zero_tolerance,
     )
 
@@ -247,8 +188,3 @@ def measured_gap(graph: MeasuredGraph, zero_tolerance: float = ZERO_TOLERANCE) -
     if result.gap is None:
         raise ValueError("measured-gap pencil has no positive eigenvalue")
     return result.gap
-
-
-def auxiliary_delta_gap(graph: MeasuredGraph, zero_tolerance: float = ZERO_TOLERANCE) -> float:
-    """Spectral gap of the auxiliary walk's Laplacian."""
-    return delta_gap(auxiliary_walk(graph), zero_tolerance)

@@ -1,9 +1,11 @@
+import dataclasses
 import json
 from fractions import Fraction
 
+import numpy as np
 import pytest
 
-from mexp import MeasuredGraph, dump_graph
+from mexp import MeasuredGraph, cli, dump_graph, generalised_certificate
 from mexp.cli import main
 from mexp.families import make_cycle, probability_counting_measure, random_regular
 import random
@@ -78,6 +80,14 @@ class TestSpectrumCommand:
         assert results["gap"] == pytest.approx(0.5, abs=1e-9)
         assert results["zero_multiplicity"] == 1
         assert len(results["eigenvalues"]) == 6
+
+    def test_lapack_failure_is_not_a_usage_error(self, capsys, c6_file, monkeypatch):
+        def fail(matrix):
+            raise np.linalg.LinAlgError("Eigenvalues did not converge")
+
+        monkeypatch.setattr(np.linalg, "eigh", fail)
+        with pytest.raises(np.linalg.LinAlgError):
+            main(["spectrum", "--input", c6_file])
 
     def test_lambda(self, capsys, c6_file):
         code, out, _ = run(capsys, "spectrum", "--input", c6_file, "--operator", "lambda")
@@ -181,6 +191,25 @@ class TestCertifyCommand:
         for row in results["rows"]:
             assert row["skipped"] is None
             assert row["symmetric"] and row["probability"]
+
+    def test_tolerance_decides_borderline_energy(self, capsys, tmp_path, monkeypatch):
+        # a tested energy 1e-6 above the bound violates at the default 1e-8
+        # slack and holds once --tolerance exceeds the excess
+        fam = tmp_path / "fam"
+        fam.mkdir()
+        g = make_cycle(16, probability_counting_measure(16))
+        (fam / "g0.json").write_text(dump_graph(g), encoding="utf-8")
+
+        def borderline(*args, **kwargs):
+            cert = generalised_certificate(*args, **kwargs)
+            row = dataclasses.replace(cert.rows[0], max_tested_energy=cert.energy_bound + 1e-6)
+            return dataclasses.replace(cert, rows=(row,))
+
+        monkeypatch.setattr(cli, "generalised_certificate", borderline)
+        code, _, _ = run(capsys, "certify", "--dir", str(fam), "--p", "2")
+        assert code == 1
+        code, _, _ = run(capsys, "certify", "--dir", str(fam), "--p", "2", "--tolerance", "1e-5")
+        assert code == 0
 
     def test_rho_table_file(self, capsys, tmp_path):
         fam = tmp_path / "fam"

@@ -5,6 +5,7 @@ from fractions import Fraction
 import pytest
 
 import helpers
+import oracles
 from mexp import (
     GraphFamily,
     MeasuredGraph,
@@ -235,6 +236,39 @@ class TestCertificate:
                 accepted = [t for t in row.test_maps if t.accepted]
                 assert accepted, "default builder should produce accepted maps"
                 assert all(t.energy <= cert.energy_bound + 1e-9 for t in accepted)
+
+    @staticmethod
+    def brute_pair_measure(graph, big_k):
+        # per-pair rebuild: keep (x, y) iff 8 gamma K^d(x, y) > 1
+        m = [x / graph.total_measure for x in graph.measure]
+        gamma = max(m)
+        dist = oracles.brute_distances(graph)
+        far = {(x, y) for x in range(graph.n) for y in range(graph.n) if 8 * gamma * big_k ** dist[x][y] > 1}
+        off_mass = 1 - sum(
+            (m[x] * m[y] for x in range(graph.n) for y in range(graph.n) if (x, y) not in far),
+            Fraction(0),
+        )
+        return {(x, y): m[x] * m[y] / off_mass for x, y in far}, off_mass
+
+    def test_pair_measure_matches_brute_rebuild(self):
+        rng = random.Random(21)
+        families = [
+            # K = 2 and gamma = 1/16 put 8 gamma K^d exactly at 1 for d = 1
+            (make_cycle(16, probability_counting_measure(16)),),
+            tuple(random_regular(n, 3, rng, probability_counting_measure(n)) for n in (10, 14)),
+            tuple(make_cycle(n, [Fraction(rng.randrange(1, 3)) for _ in range(n)]) for n in (24, 40, 64)),
+        ]
+        certs = [generalised_certificate(GraphFamily(members=members), p=2.0) for members in families]
+        for members, cert in zip(families, certs):
+            for graph, row in zip(members, cert.rows):
+                assert row.skipped is None
+                nu, off_mass = self.brute_pair_measure(graph, cert.max_valency)
+                assert row.pair_measure == nu
+                assert row.off_diagonal_mass == off_mass
+                assert row.symmetric and row.probability and row.supported_off_cutoff
+        c16 = certs[0].rows[0]
+        assert (0, 1) not in c16.pair_measure and (0, 2) in c16.pair_measure
+        assert c16.off_diagonal_mass == Fraction(13, 16)
 
     def test_small_member_is_skipped(self):
         g = make_cycle(4, probability_counting_measure(4))  # gamma = 1/4 >= 1/8

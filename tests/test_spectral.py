@@ -16,47 +16,57 @@ from mexp import (
     delta_operator,
     eigenpairs,
     from_conductance,
-    jacobi_eigh,
     lambda_operator,
     measured_gap,
     rayleigh,
     spectrum,
 )
-from mexp.families import make_cycle
+from mexp.families import make_cycle, make_hypercube
 
 
 def k2(m0=1, m1=1):
     return MeasuredGraph.build(2, [(0, 1)], [m0, m1])
 
 
-class TestJacobi:
-    def test_two_by_two(self):
-        w, v = jacobi_eigh(np.array([[1.0, -1.0], [-1.0, 1.0]]))
-        assert np.allclose(w, [0.0, 2.0], atol=1e-12)
-        assert np.allclose(np.abs(v.T @ v), np.eye(2), atol=1e-12)
+class TestEigenpairs:
+    def pencils(self, n):
+        rng = random.Random(n)
+        yield delta_operator(helpers.rand_walk(rng, n, n))
+        yield delta_operator(helpers.rand_walk(rng, n, n, auxiliary_of_random_measure=True))
+        yield lambda_operator(helpers.rand_connected(rng, n, n, measured=True))
 
-    def test_diagonal_passthrough(self):
-        w, _ = jacobi_eigh(np.diag([3.0, -1.0, 2.0]))
-        assert np.allclose(w, [-1.0, 2.0, 3.0])
+    @pytest.mark.parametrize("n", [40, 100])
+    def test_pencil_residuals(self, n):
+        for op in self.pencils(n):
+            w, v = eigenpairs(op)
+            assert np.all(np.diff(w) >= 0)
+            residual = op.stiffness @ v - (op.mass_diagonal[:, None] * v) * w[None, :]
+            assert np.linalg.norm(residual, axis=0).max() <= 1e-10 * np.linalg.norm(op.stiffness)
 
-    def test_random_symmetric_residuals(self):
-        rng = random.Random(1)
-        for _ in range(20):
-            n = rng.randrange(2, 15)
-            raw = np.array([[rng.gauss(0, 1) for _ in range(n)] for _ in range(n)])
-            sym = (raw + raw.T) / 2
-            w, v = jacobi_eigh(sym)
-            assert np.all(np.diff(w) >= -1e-12)
-            for i in range(n):
-                res = np.linalg.norm(sym @ v[:, i] - w[i] * v[:, i])
-                assert res <= 1e-10 * max(1.0, np.linalg.norm(sym))
+    @pytest.mark.parametrize("n", [40, 100])
+    def test_vectors_mass_orthonormal(self, n):
+        for op in self.pencils(n):
+            _, v = eigenpairs(op)
+            gram = v.T @ (op.mass_diagonal[:, None] * v)
+            assert np.abs(gram - np.eye(n)).max() <= 1e-10
 
-    def test_deterministic(self):
-        raw = np.arange(36.0).reshape(6, 6)
-        sym = (raw + raw.T) / 2
-        w1, v1 = jacobi_eigh(sym)
-        w2, v2 = jacobi_eigh(sym)
-        assert np.array_equal(w1, w2) and np.array_equal(v1, v2)
+    def test_cycle48_closed_form(self):
+        # simple walk on C_n: 1 - cos(2 pi k / n), k = 0..n-1
+        n = 48
+        result = spectrum(delta_operator(auxiliary_walk(make_cycle(n))))
+        expected = sorted(1.0 - math.cos(2.0 * math.pi * k / n) for k in range(n))
+        assert np.allclose(result.eigenvalues, expected, rtol=0, atol=1e-12)
+        assert result.gap == pytest.approx(oracles.cycle_gap(n), abs=1e-12)
+        assert result.zero_multiplicity == 1
+
+    def test_hypercube6_closed_form(self):
+        # simple walk on Q_d: eigenvalue 2j/d with multiplicity C(d, j)
+        d = 6
+        result = spectrum(delta_operator(auxiliary_walk(make_hypercube(d))))
+        expected = [2.0 * j / d for j in range(d + 1) for _ in range(math.comb(d, j))]
+        assert np.allclose(result.eigenvalues, expected, rtol=0, atol=1e-12)
+        assert result.gap == pytest.approx(2.0 / d, abs=1e-12)
+        assert result.zero_multiplicity == 1
 
 
 class TestDeltaOperator:
