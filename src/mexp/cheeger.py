@@ -8,12 +8,27 @@ Two flavors are computed, both as exact rationals with a witness subset:
 plus the (alpha, R) expansion profile that replaces the one-hop boundary by
 the radius-R annulus and restricts to alpha * m(V) <= m(A).
 
-Enumeration strategy: measures are cleared of denominators once, then every
-subset mask is evaluated in vectorized numpy blocks using half-mask lookup
-tables.  Ratios are compared in float64 (division is monotone, so the exact
-minimum is always among the float minima) and the surviving candidates are
-settled with exact integer cross-multiplication.  There is no approximate
-fallback: graphs beyond the cap raise ExactModeInfeasible.
+Enumeration strategy: measures are cleared of denominators once.  A subset
+mask splits into a column (its low ceil(n/2) bits) and a row (the rest), and
+every sum over A is a column-table lookup plus a row-table lookup; blocks of
+rows are crossed with all columns and only the feasible entries are
+evaluated.  The cut of A is vol(A) - 2 a(E(A)), where the internal weight is
+two table lookups plus one matrix product per block for the edges between
+the halves.  Sums stay exact: float64 while the scaled totals are below
+2^53, int64 below 2^62, Python ints beyond.
+
+Ratios are ranked by float64 num/den, which is not exact on every path.  On
+the int64 path num and den are rounded to float before the division, so a
+float ratio lies within a factor (1+u)^2/(1-u) of the true one (u = 2^-53)
+and two distinct rationals can swap order.  Every candidate whose float
+ratio lies within a relative margin of 1 + 2^-48, which exceeds
+((1+u)/(1-u))^3, of the running minimum is therefore settled by exact
+integer cross-multiplication; nothing outside the margin can be a minimizer
+or tie with one.  On the float64 and Python-int paths the float ratio is
+correctly rounded, so the margin only admits near-ties; on the Python-int
+path the ratios are ranked scaled by a common power of two that keeps them
+within float range.  Ties break toward the smallest mask.  There is no
+approximate fallback: graphs beyond the cap raise ExactModeInfeasible.
 """
 
 from __future__ import annotations
@@ -31,7 +46,7 @@ if TYPE_CHECKING:  # pragma: no cover
     from .walks import ReversibleWalk
 
 DEFAULT_CAP = 22
-_BLOCK_BITS = 20
+_BLOCK_BITS = 16
 
 
 class ExactModeInfeasible(RuntimeError):
@@ -84,14 +99,10 @@ def cheeger_vertex(graph: MeasuredGraph, cap: int = DEFAULT_CAP) -> CheegerCerti
     """
     _check_cap(graph.n, cap)
     masses, _ = scaled_integers(graph.measure)
-    best = _minimize_ratio(
-        graph.n,
-        feas=masses,
-        feas_lo=1,
-        den=masses,
-        reach=graph.neighbor_masks,
-        boundary_masses=masses,
-    )
+    total = sum(masses)
+    halves = _Halves(graph.n, total)
+    tables = halves.sums(masses)
+    best = _minimize_ratio(halves, 1, total // 2, tables, None, _boundary(halves, tables, graph.neighbor_masks))
     if best is None:
         raise NoFeasibleSubset("no subset satisfies 0 < m(A) <= m(V)/2")
     num, den, mask = best
@@ -109,25 +120,15 @@ def cheeger_conductance(
     _check_cap(graph.n, cap)
     edges = graph.edges
     weights, _ = scaled_integers([walk.a[e] for e in edges])
-    # mu is the vertex marginal of a, so the same scale makes it integral
-    mu_scaled = [0] * graph.n
-    for (u, v), w in zip(edges, weights):
-        mu_scaled[u] += w
-        mu_scaled[v] += w
     m = walk.mu if constraint is None else [Fraction(x) for x in constraint]
     if len(m) != graph.n:
         raise ValueError(f"constraint measure has {len(m)} entries for {graph.n} vertices")
     feas, _ = scaled_integers(m)
-    if sum(feas) <= 0:
+    total = sum(feas)
+    if total <= 0:
         raise ValueError("constraint measure must have positive total")
-    best = _minimize_ratio(
-        graph.n,
-        feas=feas,
-        feas_lo=1,
-        den=mu_scaled,
-        cut_edges=edges,
-        cut_weights=weights,
-    )
+    halves = _Halves(graph.n, max(total, 2 * sum(weights)))
+    best = _minimize_ratio(halves, 1, total // 2, halves.sums(feas), *_cut(halves, graph.n, edges, weights))
     if best is None:
         raise NoFeasibleSubset("no subset satisfies 0 < m(A) <= m(V)/2")
     num, den, mask = best
@@ -156,137 +157,120 @@ def asymptotic_profile(
             raise ValueError("radii must be >= 1")
     masses, _ = scaled_integers(graph.measure)
     total = sum(masses)
+    halves = _Halves(graph.n, total)
+    tables = halves.sums(masses)
     values = {}
     for radius in radii:
-        reach = _ball_masks(graph, radius)
+        boundary = _boundary(halves, tables, _ball_masks(graph, radius))
         for alpha in alphas:
             lo = -((-alpha.numerator * total) // alpha.denominator)  # ceil(alpha * total)
-            best = _minimize_ratio(
-                graph.n,
-                feas=masses,
-                feas_lo=max(1, lo),
-                den=masses,
-                reach=reach,
-                boundary_masses=masses,
-            )
+            best = _minimize_ratio(halves, max(1, lo), total // 2, tables, None, boundary)
             values[(alpha, radius)] = None if best is None else Fraction(best[0], best[1])
     return AsymptoticProfile(alphas=alphas, radii=radii, values=values)
 
 
 def _ball_masks(graph: MeasuredGraph, radius: int) -> list[int]:
     """Bitmask of the closed radius-ball around each vertex."""
-    out = []
-    for v in range(graph.n):
-        dist = bfs_distances(graph, (v,))
-        mask = 0
-        for w in range(graph.n):
-            if dist[w] <= radius:
-                mask |= 1 << w
-        out.append(mask)
-    return out
+    balls = (bfs_distances(graph, (v,)) for v in range(graph.n))
+    return [sum(1 << w for w, d in enumerate(dist) if d <= radius) for dist in balls]
 
 
 # -- enumeration engine ------------------------------------------------------
 
+_MARGIN = 1.0 + 2.0**-48  # exceeds ((1+u)/(1-u))^3, u = 2^-53: see the module docstring
 
-def _minimize_ratio(
-    n: int,
-    feas: Sequence[int],
-    feas_lo: int,
-    den: Sequence[int],
-    reach: Sequence[int] | None = None,
-    boundary_masses: Sequence[int] | None = None,
-    cut_edges: Sequence[tuple[int, int]] | None = None,
-    cut_weights: Sequence[int] | None = None,
-):
-    """Minimize numerator(A)/den(A) over masks A with feas_lo <= feas(A) <= feas(V)//2.
 
-    numerator(A) is either the boundary-measure sum (reach + boundary_masses)
-    or the weighted edge cut (cut_edges + cut_weights).  Returns exact
-    (num, den, mask) with the smallest mask among exact minimizers, or None.
-    """
-    total = sum(feas)
-    feas_hi = total // 2  # 2*m(A) <= total  <=>  m(A) <= floor(total/2)
+class _Halves:
+    """Bit matrices of the column and row halves of an n-vertex mask, in the
+    narrowest dtype that keeps sums up to bound exact."""
+
+    def __init__(self, n: int, bound: int):
+        self.h = (n + 1) // 2
+        self.dtype = np.float64 if bound < 1 << 53 else np.int64 if bound < 1 << 62 else object
+        # ratios are at most bound; ranking num / (den << shift) keeps them finite
+        self.shift = max(0, bound.bit_length() - 1000)
+        self.bits = [((np.arange(1 << k)[:, None] >> np.arange(k)) & 1) for k in (self.h, n - self.h)]
+        self.xs = [b.astype(self.dtype) for b in self.bits]
+
+    def sums(self, values):
+        """(column table, row table) of subset sums of per-vertex values."""
+        v = np.array(values, dtype=self.dtype)
+        return self.xs[0] @ v[: self.h], self.xs[1] @ v[self.h :]
+
+    def unions(self, masks):
+        """Column and row tables of the union of per-vertex masks, each split
+        into its column bits and its row bits."""
+        m = np.array(masks, dtype=np.int64)
+        col = np.bitwise_or.reduce(self.bits[0] * m[: self.h], axis=1)
+        row = np.bitwise_or.reduce(self.bits[1] * m[self.h :], axis=1)
+        low = (1 << self.h) - 1
+        return col & low, col >> self.h, row & low, row >> self.h
+
+
+def _minimize_ratio(halves: _Halves, feas_lo: int, feas_hi: int, feas, den, numerator):
+    """Minimize numerator/den over masks A with feas_lo <= feas(A) <= feas_hi.
+
+    feas and den are (column, row) table pairs (den None: den is feas);
+    numerator(rows, r, c, den) evaluates at the entries (r, c) of the block
+    of rows `rows`.  Returns exact (num, den, mask) with the smallest mask
+    among the exact minimizers, or None."""
     if feas_lo > feas_hi:
         return None
-
-    h = (n + 1) // 2
-    lomask = (1 << h) - 1
-    full = (1 << n) - 1
-
-    bound = max(total, sum(den), sum(boundary_masses or [0]), sum(cut_weights or [0]))
-    mass_dtype = np.int64 if bound < (1 << 62) else object
-
-    flo, fhi = _mass_tables(n, h, feas, mass_dtype)
-    dlo, dhi = _mass_tables(n, h, den, mass_dtype)
-    if reach is not None:
-        rlo, rhi = _or_tables(n, h, reach)
-        blo, bhi = _mass_tables(n, h, boundary_masses, mass_dtype)
-
-    best = None  # (num, den, mask) as Python ints
-    block = 1 << min(n, _BLOCK_BITS)
-    for start in range(0, 1 << n, block):
-        masks = np.arange(start, min(start + block, 1 << n), dtype=np.int64)
-        lo = masks & lomask
-        hi = masks >> h
-        fm = flo[lo] + fhi[hi]
-        feasible = (fm >= feas_lo) & (fm <= feas_hi)
-        if not feasible.any():
+    h = halves.h
+    low = (1 << h) - 1
+    flo, fhi = feas
+    step = max(1, (1 << _BLOCK_BITS) >> h)
+    best, best_ratio = None, np.inf
+    for j0 in range(0, fhi.size, step):
+        rows = slice(j0, j0 + step)
+        fm = fhi[rows, None] + flo
+        idx = np.flatnonzero((fm >= feas_lo) & (fm <= feas_hi))
+        if not idx.size:
             continue
-        dm = dlo[lo] + dhi[hi]
-        if reach is not None:
-            union = rlo[lo] | rhi[hi]
-            bnd = union & ~masks & full
-            num = blo[bnd & lomask] + bhi[bnd >> h]
-        else:
-            num = np.zeros(masks.shape, dtype=mass_dtype)
-            for (u, v), w in zip(cut_edges, cut_weights):
-                num = num + w * ((masks >> u ^ masks >> v) & 1)
-        valid = feasible & (dm > 0)
-        if not valid.any():
-            continue
-        ratio = np.where(valid, num, 1) / np.where(valid, dm, 1)
-        ratio = np.where(valid, ratio, np.inf)
-        block_min = ratio.min()
-        if block_min == np.inf:
-            continue
-        for i in np.nonzero(ratio == block_min)[0]:
-            cand = (int(num[i]), int(dm[i]), int(masks[i]))
-            if best is None:
-                best = cand
-                continue
-            lhs = cand[0] * best[1]
-            rhs = best[0] * cand[1]
-            if lhs < rhs or (lhs == rhs and cand[2] < best[2]):
-                best = cand
+        r, c = idx >> h, idx & low
+        d = fm.ravel()[idx] if den is None else den[0][c] + den[1][rows][r]
+        num = numerator(rows, r, c, d)
+        ratio = np.asarray(num / (d << halves.shift if halves.shift else d), dtype=np.float64)
+        cutoff = min(ratio.min(), best_ratio) * _MARGIN
+        for i in np.flatnonzero(ratio <= cutoff):
+            cand = (int(num[i]), int(d[i]))
+            if best is None or cand[0] * best[1] < best[0] * cand[1]:
+                best = (*cand, (j0 + int(r[i])) << h | int(c[i]))
+                best_ratio = ratio[i]
     return best
 
 
-def _mass_tables(n: int, h: int, masses: Sequence[int], dtype):
-    """Subset-sum lookup tables for the low h bits and the high n-h bits."""
-    lo = np.zeros(1 << h, dtype=dtype)
-    idx = np.arange(1 << h, dtype=np.int64)
-    for b in range(h):
-        lo[(idx >> b & 1) == 1] += masses[b]
-    hi_bits = n - h
-    hi = np.zeros(1 << hi_bits, dtype=dtype)
-    idx = np.arange(1 << hi_bits, dtype=np.int64)
-    for b in range(hi_bits):
-        hi[(idx >> b & 1) == 1] += masses[h + b]
-    return lo, hi
+def _boundary(halves: _Halves, tables, reach):
+    """Numerator m(reach(A) minus A): the union of the per-vertex reach masks
+    over A, less A, looked up in the mass tables."""
+    col_lo, col_hi, row_lo, row_hi = halves.unions(reach)
+    mlo, mhi = tables
+
+    def numerator(rows, r, c, den):
+        j = r + rows.start
+        return mlo[(col_lo[c] | row_lo[j]) & ~c] + mhi[(col_hi[c] | row_hi[j]) & ~j]
+
+    return numerator
 
 
-def _or_tables(n: int, h: int, reach: Sequence[int]):
-    """Union-of-reach lookup tables (bitwise OR over the set bits)."""
-    lo = np.zeros(1 << h, dtype=np.int64)
-    idx = np.arange(1 << h, dtype=np.int64)
-    for b in range(h):
-        sel = (idx >> b & 1) == 1
-        lo[sel] |= reach[b]
-    hi_bits = n - h
-    hi = np.zeros(1 << hi_bits, dtype=np.int64)
-    idx = np.arange(1 << hi_bits, dtype=np.int64)
-    for b in range(hi_bits):
-        sel = (idx >> b & 1) == 1
-        hi[sel] |= reach[h + b]
-    return lo, hi
+def _cut(halves: _Halves, n: int, edges, weights):
+    """Denominator tables of vol(A) = mu(A), with mu the vertex marginal of
+    the weights, and the numerator a(cut A) = vol(A) - 2 a(E(A)).  The
+    internal weight a(E(A)) is a column-table lookup plus a row-table lookup
+    plus the weight between the two halves, one matrix product per block of
+    rows."""
+    h = halves.h
+    upper = np.zeros((n, n), dtype=halves.dtype)
+    for (u, v), w in zip(edges, weights):
+        upper[u, v] = w  # u < v
+    vol = halves.sums((upper + upper.T).sum(axis=1))
+    xlo, xhi = halves.xs
+    inner_lo = ((xlo @ upper[:h, :h]) * xlo).sum(axis=1)
+    inner_hi = ((xhi @ upper[h:, h:]) * xhi).sum(axis=1)
+    across = (xlo @ upper[:h, h:]).T.copy()
+
+    def numerator(rows, r, c, den):
+        cross = xhi[rows] @ across
+        return den - 2 * (inner_lo[c] + inner_hi[rows][r] + cross[r, c])
+
+    return vol, numerator

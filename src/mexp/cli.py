@@ -4,7 +4,9 @@ Every subcommand is a thin adapter over the library: it loads inputs, calls
 one operation, and prints a JSON report to stdout.  Exit codes: 0 on success
 (including "inequality holds"), 1 when a verified inequality is violated
 (a bug sentinel, since these are proved statements), 2 on usage or input
-errors.  Randomized commands take an explicit --seed and default to 0; no
+errors, 3 on an internal fault (the traceback goes to stderr).  A reader
+that closes the pipe early ends the output quietly, with the command's own
+code.  Randomized commands take an explicit --seed and default to 0; no
 entropy is drawn from the environment.
 """
 
@@ -13,9 +15,11 @@ from __future__ import annotations
 import argparse
 import hashlib
 import json
+import os
 import random
 import sys
 import time
+import traceback
 from fractions import Fraction
 from pathlib import Path
 
@@ -73,25 +77,33 @@ def main(argv=None) -> int:
     started = time.monotonic()
     try:
         code, results = args.handler(args)
-    except np.linalg.LinAlgError:
-        raise  # a ValueError subclass, but a LAPACK failure is an internal fault
-    except _USAGE_ERRORS as exc:
+        if args.command == "generate":
+            # generate writes a plain graph document, not a report envelope
+            text = results
+        else:
+            report = {
+                "command": ["mexp"] + (argv if argv is not None else sys.argv[1:]),
+                "inputs": _inputs_digest(args),
+                "results": results,
+                "timing": {"seconds": time.monotonic() - started},
+                "version": __version__,
+                "seed": getattr(args, "seed", None),
+            }
+            text = json.dumps(_jsonable(report), indent=2)
+    except Exception as exc:
+        # a LAPACK failure is a ValueError subclass, but an internal fault
+        if not isinstance(exc, _USAGE_ERRORS) or isinstance(exc, np.linalg.LinAlgError):
+            traceback.print_exc()
+            return 3
         message = exc.args[0] if isinstance(exc, KeyError) and exc.args else str(exc)
         print(f"mexp: error: {message}", file=sys.stderr)
         return 2
-    if args.command == "generate":
-        # generate writes a plain graph document, not a report envelope
-        print(results)
-        return code
-    report = {
-        "command": ["mexp"] + (argv if argv is not None else sys.argv[1:]),
-        "inputs": _inputs_digest(args),
-        "results": results,
-        "timing": {"seconds": time.monotonic() - started},
-        "version": __version__,
-        "seed": getattr(args, "seed", None),
-    }
-    print(json.dumps(_jsonable(report), indent=2))
+    try:
+        print(text)
+        sys.stdout.flush()
+    except BrokenPipeError:
+        # the reader stopped early (say `| head`): drop the rest of the output
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
     return code
 
 

@@ -52,9 +52,15 @@ def brute_cheeger_vertex(graph):
 
 
 def brute_cheeger_conductance(walk, constraint):
+    return brute_conductance_minimizers(walk, constraint)[0]
+
+
+def brute_conductance_minimizers(walk, constraint):
+    """(value, minimizing sets) of a(cut A)/mu(A) over 0 < constraint(A) <= total/2."""
     graph = walk.graph
     total = sum(constraint, Fraction(0))
     best = None
+    witnesses = []
     for inside in subsets(range(graph.n)):
         mass = sum((constraint[v] for v in inside), Fraction(0))
         if not (0 < mass <= total / 2):
@@ -67,7 +73,10 @@ def brute_cheeger_conductance(walk, constraint):
         ratio = cut / mu_mass
         if best is None or ratio < best:
             best = ratio
-    return best
+            witnesses = [inside]
+        elif ratio == best:
+            witnesses.append(inside)
+    return best, witnesses
 
 
 def brute_distances(graph):
@@ -87,9 +96,15 @@ def brute_distances(graph):
 
 def brute_profile_value(graph, alpha: Fraction, radius: int):
     """Exact min of m(annulus_R A)/m(A) over alpha m(V) <= m(A) <= m(V)/2."""
+    return brute_profile_minimizers(graph, alpha, radius)[0]
+
+
+def brute_profile_minimizers(graph, alpha: Fraction, radius: int):
+    """(value, minimizing sets) of the profile at (alpha, radius)."""
     dist = brute_distances(graph)
     total = graph.total_measure
     best = None
+    witnesses = []
     for inside in subsets(range(graph.n)):
         mass = set_measure(graph, inside)
         if not (alpha * total <= mass <= total / 2) or mass == 0:
@@ -102,7 +117,15 @@ def brute_profile_value(graph, alpha: Fraction, radius: int):
         ratio = set_measure(graph, annulus) / mass
         if best is None or ratio < best:
             best = ratio
-    return best
+            witnesses = [inside]
+        elif ratio == best:
+            witnesses.append(inside)
+    return best, witnesses
+
+
+def smallest_mask(witnesses) -> int:
+    """The least bitmask among a list of vertex sets."""
+    return min(sum(1 << v for v in inside) for inside in witnesses)
 
 
 def brute_heat_kernel(graph, x0: int, steps: int):

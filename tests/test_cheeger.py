@@ -1,3 +1,4 @@
+import math
 import random
 from fractions import Fraction
 
@@ -15,8 +16,31 @@ from mexp import (
     cheeger_conductance,
     cheeger_vertex,
 )
-from mexp.families import make_complete, make_cycle, random_connected_graph
+from mexp import cheeger
+from mexp.families import make_complete, make_cycle, make_hypercube, random_connected_graph
 from mexp.graphs import measure_of, vertex_boundary
+from mexp.rationals import scaled_integers
+
+
+def profile_minimizer(graph, alpha, radius):
+    """(value, mask) of the profile at (alpha, radius) from the enumeration
+    engine that asymptotic_profile runs, which keeps the witness."""
+    masses, _ = scaled_integers(graph.measure)
+    total = sum(masses)
+    halves = cheeger._Halves(graph.n, total)
+    tables = halves.sums(masses)
+    boundary = cheeger._boundary(halves, tables, cheeger._ball_masks(graph, radius))
+    num, den, mask = cheeger._minimize_ratio(
+        halves, max(1, math.ceil(alpha * total)), total // 2, tables, None, boundary
+    )
+    return Fraction(num, den), mask
+
+
+def k4_times_k2():
+    """Cartesian product K4 x K2: vertex 2i + s is (i, s)."""
+    edges = [(2 * i + s, 2 * j + s) for i in range(4) for j in range(i + 1, 4) for s in (0, 1)]
+    edges += [(2 * i, 2 * i + 1) for i in range(4)]
+    return MeasuredGraph.build(8, edges, [1] * 8)
 
 
 class TestVertexFlavor:
@@ -216,3 +240,103 @@ class TestAsymptoticProfile:
     def test_alpha_validation(self):
         with pytest.raises(ValueError, match="alpha"):
             asymptotic_profile(make_cycle(4), [Fraction(3, 4)])
+
+
+class TestExactOrdering:
+    """Scaled totals in [2^53, 2^62) take the int64 path, where float ratios
+    can misorder; totals past 2^62 take the Python-int path."""
+
+    def test_int64_float_ordering_repro(self):
+        g = MeasuredGraph.build(
+            5, [(0, 1), (0, 2), (0, 4), (1, 2), (1, 3)], [2**55 + d for d in (10, 6, 1, 10, 4)]
+        )
+        cert = cheeger_vertex(g)
+        assert cert.value == Fraction(18014398509481987, 18014398509481989)
+        value, witnesses = oracles.brute_cheeger_vertex(g)
+        assert cert.value == value
+        assert cert.witness.mask == oracles.smallest_mask(witnesses)
+
+    def test_int64_sweep_matches_brute_force(self):
+        rng = random.Random(0)
+        alpha = Fraction(1, 4)
+        for i in range(240):
+            n = 4 + i % 4
+            masses = [2**55 + rng.randrange(16) for _ in range(n)]
+            g = random_connected_graph(n, rng, extra_edges=0.2, measure=masses)
+            flavor = i % 3
+            if flavor == 0:
+                cert = cheeger_vertex(g)
+                value, witnesses = oracles.brute_cheeger_vertex(g)
+            elif flavor == 1:
+                walk = auxiliary_walk(g)
+                cert = cheeger_conductance(walk, g.measure)
+                value, witnesses = oracles.brute_conductance_minimizers(walk, list(g.measure))
+            else:
+                prof = asymptotic_profile(g, [alpha], radii=[1, 2])
+                for radius in (1, 2):
+                    expected = oracles.brute_profile_value(g, alpha, radius)
+                    assert prof.value(alpha, radius) == expected, (i, radius)
+                continue
+            assert cert.value == value, i
+            assert cert.witness.mask == oracles.smallest_mask(witnesses), i
+
+    def test_conductance_with_huge_weights(self):
+        # distinct Mersenne-prime denominators: one scaled conductance alone
+        # exceeds int64
+        rng = random.Random(3)
+        primes = [2**k - 1 for k in (13, 17, 19, 31, 61, 89, 107, 127)]
+        for n in range(4, 9):
+            base = random_connected_graph(n, rng, extra_edges=0.3)
+            g = base.with_measure([Fraction(rng.randrange(1, 50), p) for p in primes[:n]])
+            walk = auxiliary_walk(g)
+            cert = cheeger_conductance(walk, g.measure)
+            value, witnesses = oracles.brute_conductance_minimizers(walk, list(g.measure))
+            assert cert.value == value
+            assert cert.witness.mask == oracles.smallest_mask(witnesses)
+
+
+    def test_ratios_beyond_float_range(self):
+        # boundary-to-mass ratios near 10^500 cannot be held by a float
+        tiny = Fraction(1, 10**400)
+        for m in ([1, 10**400, 1], [3, 10**500, 1, 10**499, 7], [tiny, 1, 1, tiny]):
+            g = MeasuredGraph.build(len(m), [(v, v + 1) for v in range(len(m) - 1)], m)
+            cert = cheeger_vertex(g)
+            value, witnesses = oracles.brute_cheeger_vertex(g)
+            assert (cert.value, cert.witness.mask) == (value, oracles.smallest_mask(witnesses))
+            walk = auxiliary_walk(g)
+            assert cheeger_conductance(walk, g.measure).value == oracles.brute_cheeger_conductance(walk, m)
+            alpha = Fraction(1, 4)
+            profile = asymptotic_profile(g, [alpha], radii=[1])
+            assert profile.value(alpha, 1) == oracles.brute_profile_value(g, alpha, 1)
+
+
+class TestTieRule:
+    """Vertex-transitive graphs with counting measure have many exact ties,
+    spread over several row blocks; the smallest mask must win."""
+
+    GRAPHS = {"C8": lambda: make_cycle(8), "Q3": lambda: make_hypercube(3), "K4xK2": k4_times_k2}
+
+    @pytest.fixture(params=sorted(GRAPHS))
+    def graph(self, request, monkeypatch):
+        monkeypatch.setattr(cheeger, "_BLOCK_BITS", 0)  # one row per block
+        return self.GRAPHS[request.param]()
+
+    def test_vertex(self, graph):
+        cert = cheeger_vertex(graph)
+        value, witnesses = oracles.brute_cheeger_vertex(graph)
+        assert len(witnesses) > 1
+        assert (cert.value, cert.witness.mask) == (value, oracles.smallest_mask(witnesses))
+
+    def test_conductance(self, graph):
+        walk = auxiliary_walk(graph)
+        cert = cheeger_conductance(walk)
+        value, witnesses = oracles.brute_conductance_minimizers(walk, list(walk.mu))
+        assert len(witnesses) > 1
+        assert (cert.value, cert.witness.mask) == (value, oracles.smallest_mask(witnesses))
+
+    def test_profile(self, graph):
+        for alpha in (Fraction(1, 8), Fraction(1, 4), Fraction(1, 2)):
+            for radius in (1, 2):
+                value, witnesses = oracles.brute_profile_minimizers(graph, alpha, radius)
+                assert profile_minimizer(graph, alpha, radius) == (value, oracles.smallest_mask(witnesses))
+                assert asymptotic_profile(graph, [alpha], radii=[radius]).value(alpha, radius) == value

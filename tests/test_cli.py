@@ -1,6 +1,10 @@
 import dataclasses
 import json
+import os
+import subprocess
+import sys
 from fractions import Fraction
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -26,6 +30,12 @@ def run(capsys, *argv):
 
 def report_of(stdout):
     return json.loads(stdout)
+
+
+def mexp_process(*args, **kwargs):
+    """Start a Python process with this checkout's mexp importable."""
+    env = dict(os.environ, PYTHONPATH=str(Path(cli.__file__).resolve().parents[1]))
+    return subprocess.Popen([sys.executable, *args], env=env, stderr=subprocess.PIPE, **kwargs)
 
 
 class TestCheegerCommand:
@@ -86,8 +96,9 @@ class TestSpectrumCommand:
             raise np.linalg.LinAlgError("Eigenvalues did not converge")
 
         monkeypatch.setattr(np.linalg, "eigh", fail)
-        with pytest.raises(np.linalg.LinAlgError):
-            main(["spectrum", "--input", c6_file])
+        code, out, err = run(capsys, "spectrum", "--input", c6_file)
+        assert code == 3 and out == ""
+        assert "Traceback" in err and "LinAlgError: Eigenvalues did not converge" in err
 
     def test_lambda(self, capsys, c6_file):
         code, out, _ = run(capsys, "spectrum", "--input", c6_file, "--operator", "lambda")
@@ -254,3 +265,38 @@ class TestDeterminism:
             report.pop("timing")
             outputs.append(json.dumps(report, sort_keys=True))
         assert outputs[0] == outputs[1]
+
+
+class TestExitCodes:
+    def test_unexpected_exception_is_an_internal_fault(self, capsys, c6_file, monkeypatch):
+        def broken(graph, cap):
+            raise RuntimeError("broken invariant")
+
+        monkeypatch.setattr(cli, "cheeger_vertex", broken)
+        code, out, err = run(capsys, "cheeger", "--input", c6_file)
+        assert code == 3 and out == ""
+        assert "Traceback" in err and "RuntimeError: broken invariant" in err
+
+    def test_lapack_failure_process_exits_three(self, c6_file):
+        script = (
+            "import sys, numpy\n"
+            "def fail(matrix):\n"
+            "    raise numpy.linalg.LinAlgError('Eigenvalues did not converge')\n"
+            "numpy.linalg.eigh = fail\n"
+            "from mexp.cli import main\n"
+            f"sys.exit(main(['spectrum', '--input', {c6_file!r}]))\n"
+        )
+        proc = mexp_process("-c", script, stdout=subprocess.PIPE)
+        out, err = proc.communicate(timeout=60)
+        assert proc.returncode == 3 and out == b""
+        assert b"LinAlgError" in err
+
+    def test_closed_pipe_exits_quietly(self):
+        # the document is far larger than a pipe buffer, so the writer meets
+        # the closed pipe
+        with mexp_process("-m", "mexp.cli", "generate", "cycle", "--n", "3000", stdout=subprocess.PIPE) as proc:
+            head = proc.stdout.read(10)
+            proc.stdout.close()
+            err = proc.stderr.read()
+            assert proc.wait(timeout=60) == 0
+        assert head == b'{\n  "verti' and err == b""
