@@ -65,6 +65,7 @@ from .poincare import (
     measured_lp_check,
     optimal_lp_constant,
 )
+from .rationals import InputError
 from .spectral import (
     CoareaReport,
     SelfAdjointOperator,

@@ -39,8 +39,8 @@ from typing import TYPE_CHECKING, Sequence
 
 import numpy as np
 
-from .graphs import MeasuredGraph, VertexSubset, bfs_distances, diameter
-from .rationals import scaled_integers
+from .graphs import MeasuredGraph, VertexSubset, diameter
+from .rationals import InputError, scaled_integers
 
 if TYPE_CHECKING:  # pragma: no cover
     from .walks import ReversibleWalk
@@ -53,7 +53,7 @@ class ExactModeInfeasible(RuntimeError):
     """The vertex count exceeds the exact-enumeration cap."""
 
 
-class NoFeasibleSubset(ValueError):
+class NoFeasibleSubset(InputError):
     """No subset satisfies 0 < m(A) <= m(V)/2 (plus any profile lower bound)."""
 
 
@@ -122,11 +122,11 @@ def cheeger_conductance(
     weights, _ = scaled_integers([walk.a[e] for e in edges])
     m = walk.mu if constraint is None else [Fraction(x) for x in constraint]
     if len(m) != graph.n:
-        raise ValueError(f"constraint measure has {len(m)} entries for {graph.n} vertices")
+        raise InputError(f"constraint measure has {len(m)} entries for {graph.n} vertices")
     feas, _ = scaled_integers(m)
     total = sum(feas)
     if total <= 0:
-        raise ValueError("constraint measure must have positive total")
+        raise InputError("constraint measure must have positive total")
     halves = _Halves(graph.n, max(total, 2 * sum(weights)))
     best = _minimize_ratio(halves, 1, total // 2, halves.sums(feas), *_cut(halves, graph.n, edges, weights))
     if best is None:
@@ -143,18 +143,18 @@ def asymptotic_profile(
 ) -> AsymptoticProfile:
     """Exact (alpha, R) expansion table for R = 1..diameter by default."""
     if not graph.connected:
-        raise ValueError("asymptotic profile requires a connected graph")
+        raise InputError("asymptotic profile requires a connected graph")
     _check_cap(graph.n, cap)
     alphas = tuple(Fraction(a) for a in alphas)
     for a in alphas:
         if not 0 < a <= Fraction(1, 2):
-            raise ValueError(f"alpha {a} outside (0, 1/2]")
+            raise InputError(f"alpha {a} outside (0, 1/2]")
     if radii is None:
         radii = tuple(range(1, max(diameter(graph), 1) + 1))
     else:
         radii = tuple(int(r) for r in radii)
         if any(r < 1 for r in radii):
-            raise ValueError("radii must be >= 1")
+            raise InputError("radii must be >= 1")
     masses, _ = scaled_integers(graph.measure)
     total = sum(masses)
     halves = _Halves(graph.n, total)
@@ -171,8 +171,7 @@ def asymptotic_profile(
 
 def _ball_masks(graph: MeasuredGraph, radius: int) -> list[int]:
     """Bitmask of the closed radius-ball around each vertex."""
-    balls = (bfs_distances(graph, (v,)) for v in range(graph.n))
-    return [sum(1 << w for w, d in enumerate(dist) if d <= radius) for dist in balls]
+    return [sum(1 << w for w, d in enumerate(dist) if d <= radius) for dist in graph.distances]
 
 
 # -- enumeration engine ------------------------------------------------------

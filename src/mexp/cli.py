@@ -3,11 +3,14 @@
 Every subcommand is a thin adapter over the library: it loads inputs, calls
 one operation, and prints a JSON report to stdout.  Exit codes: 0 on success
 (including "inequality holds"), 1 when a verified inequality is violated
-(a bug sentinel, since these are proved statements), 2 on usage or input
-errors, 3 on an internal fault (the traceback goes to stderr).  A reader
-that closes the pipe early ends the output quietly, with the command's own
-code.  Randomized commands take an explicit --seed and default to 0; no
-entropy is drawn from the environment.
+(a bug sentinel, since these are proved statements), 2 on bad input (a
+usage error, an unreadable or malformed file, an argument outside its
+domain, or a graph beyond the enumeration cap), 3 on any other exception,
+an internal fault whose traceback goes to stderr.  A reader that closes the
+pipe early ends the output quietly, with the command's own code.  Each
+subcommand declares only the options its handler reads; randomized commands
+take an explicit --seed and default to 0, and no entropy is drawn from the
+environment.
 """
 
 from __future__ import annotations
@@ -15,6 +18,7 @@ from __future__ import annotations
 import argparse
 import hashlib
 import json
+import math
 import os
 import random
 import sys
@@ -23,16 +27,8 @@ import traceback
 from fractions import Fraction
 from pathlib import Path
 
-import numpy as np
-
 from . import __version__
-from .cheeger import (
-    DEFAULT_CAP,
-    ExactModeInfeasible,
-    NoFeasibleSubset,
-    cheeger_conductance,
-    cheeger_vertex,
-)
+from .cheeger import DEFAULT_CAP, ExactModeInfeasible, cheeger_conductance, cheeger_vertex
 from .families import (
     GraphFamily,
     RhoTable,
@@ -40,7 +36,7 @@ from .families import (
     generalised_certificate,
     generate,
 )
-from .graphs import GraphFormatError, MeasuredGraph, VertexSubset, dump_graph, load_conductance, load_graph
+from .graphs import MeasuredGraph, VertexSubset, dump_graph, load_conductance, load_graph
 from .inequalities import (
     distance_gap_bound,
     verify_cheeger_sandwich,
@@ -51,21 +47,11 @@ from .inequalities import (
     verify_poincare_to_cheeger,
 )
 from .poincare import optimal_lp_constant
-from .rationals import RationalFormatError, format_rational, parse_rational
+from .rationals import InputError, format_rational, parse_rational
 from .spectral import delta_operator, lambda_operator, spectrum
-from .walks import WalkError, auxiliary_walk, from_conductance
+from .walks import auxiliary_walk, from_conductance
 
-_USAGE_ERRORS = (
-    GraphFormatError,
-    RationalFormatError,
-    WalkError,
-    NoFeasibleSubset,
-    ExactModeInfeasible,
-    ValueError,
-    KeyError,
-    IndexError,
-    FileNotFoundError,
-)
+_USAGE_ERRORS = (InputError, ExactModeInfeasible, OSError)
 
 
 def main(argv=None) -> int:
@@ -90,14 +76,12 @@ def main(argv=None) -> int:
                 "seed": getattr(args, "seed", None),
             }
             text = json.dumps(_jsonable(report), indent=2)
-    except Exception as exc:
-        # a LAPACK failure is a ValueError subclass, but an internal fault
-        if not isinstance(exc, _USAGE_ERRORS) or isinstance(exc, np.linalg.LinAlgError):
-            traceback.print_exc()
-            return 3
-        message = exc.args[0] if isinstance(exc, KeyError) and exc.args else str(exc)
-        print(f"mexp: error: {message}", file=sys.stderr)
+    except _USAGE_ERRORS as exc:
+        print(f"mexp: error: {exc}", file=sys.stderr)
         return 2
+    except Exception:
+        traceback.print_exc()
+        return 3
     try:
         print(text)
         sys.stdout.flush()
@@ -115,29 +99,37 @@ def _build_parser() -> argparse.ArgumentParser:
     parser.add_argument("--version", action="version", version=f"mexp {__version__}")
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def common(p, seed=True):
+    def cap(p):
         p.add_argument("--cap", type=int, default=DEFAULT_CAP, help="exact-enumeration cap on the vertex count")
-        p.add_argument("--tolerance", type=float, default=1e-8, help="float comparison slack")
-        if seed:
-            p.add_argument("--seed", type=int, default=0)
+
+    def slack(text):
+        value = float(text)
+        if not 0 <= value < math.inf:
+            raise ValueError(text)
+        return value
+
+    def tolerance(p):
+        p.add_argument("--tolerance", type=slack, default=1e-8, help="float comparison slack")
+
+    def seed(p):
+        p.add_argument("--seed", type=int, default=0)
 
     p = sub.add_parser("cheeger", help="exact Cheeger constant with witness")
     p.add_argument("--input", required=True)
     p.add_argument("--flavor", choices=["vertex", "conductance"], default="vertex")
-    common(p)
+    cap(p)
     p.set_defaults(handler=_cmd_cheeger)
 
     p = sub.add_parser("spectrum", help="eigenvalues and spectral gap of a graph operator")
     p.add_argument("--input", required=True)
     p.add_argument("--operator", choices=["delta", "lambda"], default="delta")
-    common(p)
     p.set_defaults(handler=_cmd_spectrum)
 
     p = sub.add_parser("poincare", help="numerical search for the optimal Lp constant")
     p.add_argument("--input", required=True)
     p.add_argument("--p", type=float, required=True)
     p.add_argument("--restarts", type=int, default=64)
-    common(p)
+    seed(p)
     p.set_defaults(handler=_cmd_poincare)
 
     p = sub.add_parser("verify", help="check a named expansion inequality")
@@ -159,19 +151,15 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--trials", type=int, default=200, help="random functions for coarea / lp-poincare")
     p.add_argument("--set-a", default=None, help="comma-separated vertex labels")
     p.add_argument("--set-b", default=None, help="comma-separated vertex labels")
-    common(p)
+    cap(p)
+    tolerance(p)
+    seed(p)
     p.set_defaults(handler=_cmd_verify)
-
-    p = sub.add_parser("coarea", help="exact level-set identity on random functions")
-    p.add_argument("--input", required=True)
-    p.add_argument("--trials", type=int, default=100)
-    common(p)
-    p.set_defaults(handler=_cmd_coarea)
 
     p = sub.add_parser("family", help="per-member invariants and family verdicts")
     p.add_argument("--dir", required=True, help="directory of graph JSON files, sorted by name")
     p.add_argument("--threshold", required=True, help="expansion threshold as p/q")
-    common(p)
+    cap(p)
     p.set_defaults(handler=_cmd_family)
 
     p = sub.add_parser("certify", help="generalised-expander certificate for a family")
@@ -179,7 +167,9 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--p", type=float, required=True)
     p.add_argument("--rho", default=None, help="JSON file with a nondecreasing modulus table")
     p.add_argument("--emit-nu", action="store_true", help="include the full pair measures")
-    common(p)
+    cap(p)
+    tolerance(p)
+    seed(p)
     p.set_defaults(handler=_cmd_certify)
 
     p = sub.add_parser("generate", help="write a named graph document to stdout")
@@ -188,7 +178,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--k", type=int, default=None)
     p.add_argument("--d", type=int, default=None)
     p.add_argument("--measure", choices=["counting", "rationals"], default="counting")
-    p.add_argument("--seed", type=int, default=0)
+    seed(p)
     p.set_defaults(handler=_cmd_generate)
 
     return parser
@@ -197,11 +187,17 @@ def _build_parser() -> argparse.ArgumentParser:
 # -- loading helpers ---------------------------------------------------------
 
 
+def _read_text(path) -> str:
+    try:
+        return Path(path).read_text(encoding="utf-8")
+    except UnicodeDecodeError as exc:
+        raise InputError(f"{path}: not UTF-8 text ({exc.reason})") from None
+
+
 def _read_document(path: str):
-    text = Path(path).read_text(encoding="utf-8")
+    text = _read_text(path)
     graph = load_graph(text)
-    conductance = load_conductance(text, graph)
-    return graph, conductance, text
+    return graph, load_conductance(text, graph)
 
 
 def _walk_for(graph: MeasuredGraph, conductance):
@@ -226,10 +222,10 @@ def _resolve_labels(graph: MeasuredGraph, text: str) -> VertexSubset:
             try:
                 indices.append(graph.index_of(cand))
                 break
-            except KeyError:
+            except InputError:
                 continue
         else:
-            raise KeyError(f"unknown vertex label {token!r}")
+            raise InputError(f"unknown vertex label {token!r}")
     return VertexSubset.from_indices(graph.n, indices)
 
 
@@ -263,7 +259,7 @@ def _jsonable(obj):
 
 
 def _cmd_cheeger(args):
-    graph, conductance, _ = _read_document(args.input)
+    graph, conductance = _read_document(args.input)
     if args.flavor == "vertex":
         cert = cheeger_vertex(graph, cap=args.cap)
     else:
@@ -276,7 +272,7 @@ def _cmd_cheeger(args):
 
 
 def _cmd_spectrum(args):
-    graph, conductance, _ = _read_document(args.input)
+    graph, conductance = _read_document(args.input)
     if args.operator == "delta":
         op = delta_operator(_walk_for(graph, conductance))
     else:
@@ -291,7 +287,7 @@ def _cmd_spectrum(args):
 
 
 def _cmd_poincare(args):
-    graph, conductance, _ = _read_document(args.input)
+    graph, conductance = _read_document(args.input)
     walk = _walk_for(graph, conductance)
     est = optimal_lp_constant(walk, args.p, restarts=args.restarts, seed=args.seed)
     return 0, {
@@ -306,7 +302,7 @@ def _cmd_poincare(args):
 
 
 def _cmd_verify(args):
-    graph, conductance, _ = _read_document(args.input)
+    graph, conductance = _read_document(args.input)
     theorem = args.theorem
     if theorem == "cheeger-sandwich":
         report = verify_cheeger_sandwich(_walk_for(graph, conductance), cap=args.cap, tol=args.tolerance)
@@ -340,7 +336,7 @@ def _cmd_verify(args):
 
 def _random_disjoint_pair(graph: MeasuredGraph, seed: int):
     if graph.n < 2:
-        raise ValueError("distance bound needs at least two vertices")
+        raise InputError("distance bound needs at least two vertices")
     rng = random.Random(seed)
     vertices = list(range(graph.n))
     rng.shuffle(vertices)
@@ -349,12 +345,6 @@ def _random_disjoint_pair(graph: MeasuredGraph, seed: int):
     set_a = VertexSubset.from_indices(graph.n, vertices[:size_a])
     set_b = VertexSubset.from_indices(graph.n, vertices[size_a : size_a + size_b])
     return set_a, set_b
-
-
-def _cmd_coarea(args):
-    graph, conductance, _ = _read_document(args.input)
-    report = verify_coarea(_walk_for(graph, conductance), trials=args.trials, seed=args.seed)
-    return (0 if report.holds else 1), report.as_dict()
 
 
 def _load_family(directory: str) -> GraphFamily:
@@ -366,7 +356,7 @@ def _load_family(directory: str) -> GraphFamily:
         raise FileNotFoundError(f"no *.json graph files in {directory}")
     members = []
     for path in files:
-        members.append(load_graph(path.read_text(encoding="utf-8")))
+        members.append(load_graph(_read_text(path)))
     return GraphFamily(members=tuple(members), provenance={"dir": str(root), "files": [f.name for f in files]})
 
 
@@ -398,12 +388,19 @@ def _cmd_family(args):
     }
 
 
+def _load_rho(path: str) -> RhoTable:
+    try:
+        table = json.loads(_read_text(path), parse_int=float)
+    except json.JSONDecodeError as exc:
+        raise InputError(f"{path}: not valid JSON: {exc}") from None
+    if not isinstance(table, list) or not all(type(x) is float for x in table):
+        raise InputError(f"{path}: expected a JSON array of numbers")
+    return RhoTable(tuple(table))
+
+
 def _cmd_certify(args):
     family = _load_family(args.dir)
-    rho = None
-    if args.rho is not None:
-        table = json.loads(Path(args.rho).read_text(encoding="utf-8"))
-        rho = RhoTable(tuple(float(x) for x in table))
+    rho = None if args.rho is None else _load_rho(args.rho)
     cert = generalised_certificate(family, args.p, rho_plus=rho, seed=args.seed, cap=args.cap)
     rows = []
     violated = False

@@ -20,8 +20,9 @@ from .cheeger import (
     NoFeasibleSubset,
     cheeger_vertex,
 )
-from .graphs import MeasuredGraph, VertexSubset, bfs_distances, stats
+from .graphs import MeasuredGraph, VertexSubset, diameter, stats
 from .poincare import kappa_constant
+from .rationals import InputError
 from .spectral import measured_gap
 
 
@@ -36,17 +37,19 @@ def probability_counting_measure(n: int) -> list[Fraction]:
     return [Fraction(1, n)] * n
 
 
-def random_positive_measure(n: int, rng: random.Random, max_num: int = 9, max_den: int = 9):
-    """Full-support rational measure with small numerators and denominators."""
-    return [Fraction(rng.randrange(1, max_num + 1), rng.randrange(1, max_den + 1)) for _ in range(n)]
+def random_positive_measure(n: int, rng: random.Random):
+    """Full-support rational measure with numerators and denominators in 1..9."""
+    return [_random_rational(rng) for _ in range(n)]
 
 
-def random_conductance(graph: MeasuredGraph, rng: random.Random, max_num: int = 9, max_den: int = 9):
-    """Random positive rational conductance on the edges of a graph."""
-    return {
-        e: Fraction(rng.randrange(1, max_num + 1), rng.randrange(1, max_den + 1))
-        for e in graph.edges
-    }
+def random_conductance(graph: MeasuredGraph, rng: random.Random):
+    """Random positive rational conductance on the edges of a graph, with
+    numerators and denominators in 1..9."""
+    return {e: _random_rational(rng) for e in graph.edges}
+
+
+def _random_rational(rng: random.Random) -> Fraction:
+    return Fraction(rng.randrange(1, 10), rng.randrange(1, 10))
 
 
 # -- generators ----------------------------------------------------------------
@@ -54,14 +57,14 @@ def random_conductance(graph: MeasuredGraph, rng: random.Random, max_num: int = 
 
 def make_cycle(n: int, measure=None) -> MeasuredGraph:
     if n < 3:
-        raise ValueError("a cycle needs at least 3 vertices")
+        raise InputError("a cycle needs at least 3 vertices")
     edges = [(v, (v + 1) % n) for v in range(n)]
     return MeasuredGraph.build(n, edges, measure or counting_measure(n))
 
 
 def make_complete(n: int, measure=None) -> MeasuredGraph:
     if n < 1:
-        raise ValueError("a complete graph needs at least one vertex")
+        raise InputError("a complete graph needs at least one vertex")
     edges = [(u, v) for u in range(n) for v in range(u + 1, n)]
     return MeasuredGraph.build(n, edges, measure or counting_measure(n))
 
@@ -69,7 +72,7 @@ def make_complete(n: int, measure=None) -> MeasuredGraph:
 def make_star(leaves: int, measure=None) -> MeasuredGraph:
     """Star with center 0 and the given number of leaves."""
     if leaves < 1:
-        raise ValueError("a star needs at least one leaf")
+        raise InputError("a star needs at least one leaf")
     n = leaves + 1
     edges = [(0, v) for v in range(1, n)]
     return MeasuredGraph.build(n, edges, measure or counting_measure(n))
@@ -77,21 +80,21 @@ def make_star(leaves: int, measure=None) -> MeasuredGraph:
 
 def make_hypercube(dim: int, measure=None) -> MeasuredGraph:
     if dim < 1:
-        raise ValueError("hypercube dimension must be at least 1")
+        raise InputError("hypercube dimension must be at least 1")
     n = 1 << dim
     edges = [(v, v ^ (1 << b)) for v in range(n) for b in range(dim) if v < v ^ (1 << b)]
     return MeasuredGraph.build(n, edges, measure or counting_measure(n))
 
 
-def random_regular(n: int, k: int, rng: random.Random, measure=None, attempts: int = 500) -> MeasuredGraph:
+def random_regular(n: int, k: int, rng: random.Random, measure=None) -> MeasuredGraph:
     """Random k-regular graph by the configuration model.
 
     Pairings with loops or repeated edges are rejected and redrawn, as are
-    disconnected outcomes; exceeding the attempt cap raises.
+    disconnected outcomes; 500 rejected pairings raise.
     """
     if n * k % 2 != 0 or not 0 < k < n:
-        raise ValueError(f"no {k}-regular graph on {n} vertices")
-    for _ in range(attempts):
+        raise InputError(f"no {k}-regular graph on {n} vertices")
+    for _ in range(500):
         stubs = [v for v in range(n) for _ in range(k)]
         rng.shuffle(stubs)
         edges = set()
@@ -111,7 +114,7 @@ def random_regular(n: int, k: int, rng: random.Random, measure=None, attempts: i
         graph = MeasuredGraph.build(n, sorted(edges), measure or counting_measure(n))
         if graph.connected:
             return graph
-    raise RuntimeError(f"configuration model rejected {attempts} pairings for n={n}, k={k}")
+    raise RuntimeError(f"configuration model rejected 500 pairings for n={n}, k={k}")
 
 
 def random_connected_graph(
@@ -119,7 +122,7 @@ def random_connected_graph(
 ) -> MeasuredGraph:
     """Random connected graph: a random spanning tree plus Bernoulli extras."""
     if n < 1:
-        raise ValueError("need at least one vertex")
+        raise InputError("need at least one vertex")
     edges = set()
     order = list(range(n))
     rng.shuffle(order)
@@ -143,7 +146,7 @@ def generate(kind: str, measure: str = "counting", seed: int = 0, **params) -> M
     def need(name: str) -> int:
         value = params.get(name)
         if value is None:
-            raise ValueError(f"generator {kind!r} needs parameter {name}")
+            raise InputError(f"generator {kind!r} needs parameter {name}")
         return int(value)
 
     rng = random.Random(seed)
@@ -156,12 +159,12 @@ def generate(kind: str, measure: str = "counting", seed: int = 0, **params) -> M
     elif kind == "random_regular":
         graph = random_regular(need("n"), need("k"), rng)
     else:
-        raise ValueError(f"unknown generator kind {kind!r}")
+        raise InputError(f"unknown generator kind {kind!r}")
     if measure == "counting":
         return graph
     if measure == "rationals":
         return graph.with_measure(random_positive_measure(graph.n, rng))
-    raise ValueError(f"unknown measure kind {measure!r}")
+    raise InputError(f"unknown measure kind {measure!r}")
 
 
 # -- constructions -------------------------------------------------------------
@@ -175,9 +178,9 @@ def product_segment(graph: MeasuredGraph, levels: int) -> MeasuredGraph:
     levels = 0 returns a copy of the base graph.
     """
     if graph.total_measure != 1:
-        raise ValueError("base measure must be a probability measure (total 1)")
+        raise InputError("base measure must be a probability measure (total 1)")
     if levels < 0:
-        raise ValueError("levels must be nonnegative")
+        raise InputError("levels must be nonnegative")
     n = graph.n
     edges = []
     measure = []
@@ -206,19 +209,19 @@ def full_support_perturbation(
     measure that keeps (1 - mu(A)/n) of each supported point's mass.
     """
     if graph.total_measure != 1:
-        raise ValueError("measure must be a probability measure (total 1)")
+        raise InputError("measure must be a probability measure (total 1)")
     if n < 1:
-        raise ValueError("n must be a positive integer")
+        raise InputError("n must be a positive integer")
     support = [v for v in range(graph.n) if graph.measure[v] > 0]
     holes = [v for v in range(graph.n) if graph.measure[v] == 0]
     if not holes:
-        raise ValueError("measure already has full support; nothing to perturb")
+        raise InputError("measure already has full support; nothing to perturb")
     support_mask = graph.support_mask
     if bad_set.mask & ~support_mask:
-        raise ValueError("bad set must lie inside the support")
+        raise InputError("bad set must lie inside the support")
     mass = sum((graph.measure[v] for v in bad_set.indices()), Fraction(0))
     if not 0 < mass <= Fraction(1, 2):
-        raise ValueError(f"bad set needs 0 < mu(A) <= 1/2, got {mass}")
+        raise InputError(f"bad set needs 0 < mu(A) <= 1/2, got {mass}")
     shift = mass / n
     fill = shift / len(holes)
     out = []
@@ -240,7 +243,7 @@ class GraphFamily:
 
     def __post_init__(self):
         if not self.members:
-            raise ValueError("a family needs at least one member")
+            raise InputError("a family needs at least one member")
 
 
 @dataclass(frozen=True)
@@ -275,7 +278,7 @@ def family_report(family: GraphFamily, threshold, cap: int = DEFAULT_CAP) -> Fam
     """
     threshold = Fraction(threshold)
     if threshold <= 0:
-        raise ValueError("expansion threshold must be positive")
+        raise InputError("expansion threshold must be positive")
 
     def row(item) -> FamilyRow:
         index, graph = item
@@ -353,11 +356,11 @@ class RhoTable:
 
     def __post_init__(self):
         if not self.values:
-            raise ValueError("rho table needs at least one value")
-        if any(v < 0 for v in self.values):
-            raise ValueError("rho table values must be nonnegative")
+            raise InputError("rho table needs at least one value")
+        if not all(v >= 0 for v in self.values):  # NaN fails too
+            raise InputError("rho table values must be nonnegative")
         if any(b < a for a, b in zip(self.values, self.values[1:])):
-            raise ValueError("rho table must be nondecreasing")
+            raise InputError("rho table must be nondecreasing")
 
     def __call__(self, distance) -> float:
         idx = min(int(distance), len(self.values) - 1)
@@ -412,7 +415,6 @@ def generalised_certificate(
     test_maps: Sequence[Sequence[Sequence[float]]] | None = None,
     seed: int = 0,
     cap: int = DEFAULT_CAP,
-    maps_per_member: int = 4,
 ) -> GeneralisedCertificate:
     """Symmetric far-off-diagonal pair measures witnessing uniform p-energy
     bounds for modulus-controlled maps.
@@ -430,14 +432,14 @@ def generalised_certificate(
     cap and the spectral-gap lower bound s*gap/(2(1+s)K) beyond it; any lower
     bound on the true Cheeger floor yields a larger, still valid kappa.
     """
-    if p < 1:
-        raise ValueError("p must be at least 1")
+    if not p >= 1:  # NaN fails too
+        raise InputError("p must be at least 1")
     members = []
     for i, graph in enumerate(family.members):
         if not graph.connected:
-            raise ValueError(f"member {i} is not connected")
+            raise InputError(f"member {i} is not connected")
         if any(m == 0 for m in graph.measure):
-            raise ValueError(f"member {i} lacks full support")
+            raise InputError(f"member {i} lacks full support")
         total = graph.total_measure
         members.append(graph if total == 1 else graph.with_measure([m / total for m in graph.measure]))
 
@@ -457,8 +459,7 @@ def generalised_certificate(
             sources.append("spectral-bound")
     c_floor = min(cheegers)
 
-    dists = [[bfs_distances(g, (v,)) for v in range(g.n)] for g in members]
-    diameters = [max(max(row) for row in dist) for dist in dists]
+    diameters = [diameter(g) for g in members]
     if rho_plus is None:
         rho_plus = RhoTable.identity(max(max(diameters), 1))
     rho1 = float(rho_plus(1))
@@ -489,7 +490,7 @@ def generalised_certificate(
             )
             continue
         cutoff = math.log(1.0 / (8.0 * float(gamma))) / math.log(big_k)
-        dist = dists[index]
+        dist = graph.distances
         # d > cutoff  <=>  8 gamma K^d > 1, decided exactly once per distance
         beyond = [8 * gamma * big_k ** d > 1 for d in range(diameters[index] + 1)]
 
@@ -512,7 +513,7 @@ def generalised_certificate(
         if test_maps is not None and index < len(test_maps):
             for j, fmap in enumerate(test_maps[index]):
                 maps.append((f"supplied-{j}", [[float(x) for x in row] for row in fmap]))
-        maps.extend(_default_test_maps(graph, dist, rho_plus, p, rng, maps_per_member))
+        maps.extend(_default_test_maps(graph, dist, rho_plus, p, rng))
         results = []
         max_energy = None
         for name, values in maps:
@@ -567,15 +568,15 @@ def _modulus_violation(values, dist, rho_plus, p: float):
     return None
 
 
-def _default_test_maps(graph, dist, rho_plus, p, rng, count):
-    """Distance coordinates from seeded roots plus greedily extended random
-    maps staying inside the modulus envelope."""
+def _default_test_maps(graph, dist, rho_plus, p, rng):
+    """Distance coordinates from two seeded roots plus two greedily extended
+    random maps staying inside the modulus envelope."""
     maps = []
     n = graph.n
-    for i in range(max(1, count // 2)):
+    for i in range(2):
         root = rng.randrange(n)
         maps.append((f"distance-from-{graph.labels[root]}", [[rho_plus(dist[root][v])] for v in range(n)]))
-    for i in range(max(1, count - count // 2)):
+    for i in range(2):
         dims = 1 + (i % 2)
         scale = dims ** (-1.0 / p)
         coords = [[0.0] * dims for _ in range(n)]

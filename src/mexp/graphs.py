@@ -18,10 +18,10 @@ from fractions import Fraction
 from functools import cached_property
 from typing import Iterable, Sequence
 
-from .rationals import RationalFormatError, format_rational, parse_rational
+from .rationals import InputError, RationalFormatError, format_rational, parse_rational
 
 
-class GraphFormatError(ValueError):
+class GraphFormatError(InputError):
     """An input document violates the graph file schema."""
 
 
@@ -34,14 +34,14 @@ class VertexSubset:
 
     def __post_init__(self):
         if self.mask < 0 or self.mask >> self.n:
-            raise ValueError(f"mask {self.mask:#x} not a subset of 0..{self.n - 1}")
+            raise InputError(f"mask {self.mask:#x} not a subset of 0..{self.n - 1}")
 
     @classmethod
     def from_indices(cls, n: int, indices: Iterable[int]) -> "VertexSubset":
         mask = 0
         for v in indices:
             if not 0 <= v < n:
-                raise ValueError(f"vertex {v} out of range 0..{n - 1}")
+                raise InputError(f"vertex {v} out of range 0..{n - 1}")
             mask |= 1 << v
         return cls(n, mask)
 
@@ -173,6 +173,12 @@ class MeasuredGraph:
         return tuple(masks)
 
     @cached_property
+    def distances(self) -> tuple[tuple[int | float, ...], ...]:
+        """All-pairs hop distances, one BFS per vertex; math.inf across
+        components."""
+        return tuple(tuple(bfs_distances(self, (v,))) for v in range(self.n))
+
+    @cached_property
     def support_mask(self) -> int:
         m = 0
         for v, mv in enumerate(self.measure):
@@ -183,14 +189,11 @@ class MeasuredGraph:
     def degree(self, v: int) -> int:
         return len(self.neighbors[v])
 
-    def label_of(self, v: int):
-        return self.labels[v]
-
     def index_of(self, label) -> int:
         try:
             return self.labels.index(label)
         except ValueError:
-            raise KeyError(f"unknown vertex label {label!r}") from None
+            raise InputError(f"unknown vertex label {label!r}") from None
 
     def full_subset(self) -> VertexSubset:
         return VertexSubset(self.n, (1 << self.n) - 1)
@@ -341,7 +344,7 @@ def _decode(document):
 def hop_distance(graph: MeasuredGraph, u: int, v: int) -> int | float:
     """Length of a shortest edge path from u to v; math.inf across components."""
     if not (0 <= u < graph.n and 0 <= v < graph.n):
-        raise IndexError(f"vertex out of range 0..{graph.n - 1}")
+        raise InputError(f"vertex out of range 0..{graph.n - 1}")
     if u == v:
         return 0
     dist = bfs_distances(graph, (u,))
@@ -367,12 +370,8 @@ def bfs_distances(graph: MeasuredGraph, sources: Iterable[int]) -> list[int | fl
 def diameter(graph: MeasuredGraph) -> int:
     """Largest hop distance; requires a connected graph."""
     if not graph.connected:
-        raise ValueError("diameter requires a connected graph")
-    best = 0
-    for v in range(graph.n):
-        layers = bfs_distances(graph, (v,))
-        best = max(best, max(layers))
-    return int(best)
+        raise InputError("diameter requires a connected graph")
+    return int(max(max(row) for row in graph.distances))
 
 
 def vertex_boundary(graph: MeasuredGraph, subset: VertexSubset) -> VertexSubset:
@@ -399,7 +398,7 @@ def r_boundary(graph: MeasuredGraph, subset: VertexSubset, radius: int) -> Verte
     At radius 1 this coincides with vertex_boundary.
     """
     if radius < 1:
-        raise ValueError("radius must be at least 1")
+        raise InputError("radius must be at least 1")
     if subset.mask == 0:
         return VertexSubset(graph.n, 0)
     dist = bfs_distances(graph, subset.indices())

@@ -1,10 +1,12 @@
 """One verifier per named expansion inequality.
 
 Each verifier recomputes its inputs from scratch, evaluates both sides, and
-reports a verdict.  Tolerance policy: sides that are exact rationals are
-compared exactly; any comparison involving a float allows the stated absolute
-slack in the favorable direction only, i.e. slack can excuse float noise but
-can never manufacture a violation into a pass on the violating side.
+reports a verdict.  Tolerance policy: every bound lhs <= rhs is decided in
+floats as lhs <= rhs + tol, an exact rational side (a Cheeger value or a
+bound built from it) being converted to float first.  The slack only ever
+helps a check pass: it excuses float noise, and with it any true violation
+smaller than tol.  Only the coarea verifier decides exactly, comparing its
+level-set identity in rational arithmetic.
 """
 
 from __future__ import annotations
@@ -18,7 +20,7 @@ from typing import Sequence
 from .cheeger import DEFAULT_CAP, cheeger_conductance, cheeger_vertex
 from .graphs import MeasuredGraph, VertexSubset, bfs_distances, stats
 from .poincare import cp_formula, lp_energy_ratio
-from .rationals import format_rational
+from .rationals import InputError, format_rational
 from .spectral import coarea_check, delta_gap, measured_gap
 from .walks import ReversibleWalk, auxiliary_walk
 
@@ -104,7 +106,7 @@ def verify_measured_sandwich(
     """c^2 s^3 (1+s) / (2 K^3) <= gap <= 2 (1+s) K c / s for a full-support graph."""
     st = stats(graph)
     if st.ratio_bound is None:
-        raise ValueError("measure-ratio bound undefined: measure lacks full support")
+        raise InputError("measure-ratio bound undefined: measure lacks full support")
     s, big_k = st.ratio_bound, st.max_valency
     cert = cheeger_vertex(graph, cap=cap)
     c = cert.value
@@ -134,7 +136,7 @@ def verify_gap_controls(graph: MeasuredGraph, tol: float = DEFAULT_TOLERANCE) ->
     gap to the auxiliary walk's Laplacian gap."""
     st = stats(graph)
     if st.ratio_bound is None:
-        raise ValueError("measure-ratio bound undefined: measure lacks full support")
+        raise InputError("measure-ratio bound undefined: measure lacks full support")
     s, big_k = st.ratio_bound, st.max_valency
     gap = measured_gap(graph)
     aux_gap = delta_gap(auxiliary_walk(graph))
@@ -167,11 +169,11 @@ def distance_gap_bound(
     """gap * d(A,B)^2 <= (1/mu(A) + 1/mu(B)) * (a(E) - a(E_A) - a(E_B))."""
     graph = walk.graph
     if set_a.mask == 0 or set_b.mask == 0:
-        raise ValueError("both subsets must be nonempty")
+        raise InputError("both subsets must be nonempty")
     if set_a.mask & set_b.mask:
-        raise ValueError("subsets must be disjoint")
+        raise InputError("subsets must be disjoint")
     if not graph.connected:
-        raise ValueError("distance bound needs a connected graph")
+        raise InputError("distance bound needs a connected graph")
     dist = bfs_distances(graph, set_a.indices())
     rho = min(dist[v] for v in set_b.indices())
     mu_a = sum((walk.mu[v] for v in set_a.indices()), Fraction(0))
@@ -207,7 +209,7 @@ def verify_poincare_to_cheeger(
     """cheeger >= s * gap / (2 (1+s) K) for a full-support measured graph."""
     st = stats(graph)
     if st.ratio_bound is None:
-        raise ValueError("measure-ratio bound undefined: measure lacks full support")
+        raise InputError("measure-ratio bound undefined: measure lacks full support")
     s, big_k = st.ratio_bound, st.max_valency
     c = cheeger_vertex(graph, cap=cap).value
     gap = measured_gap(graph)

@@ -16,6 +16,7 @@ from typing import Sequence
 import numpy as np
 
 from .graphs import MeasuredGraph
+from .rationals import InputError
 from .walks import ReversibleWalk
 
 _SMOOTHING_EPS = 1e-9
@@ -46,9 +47,9 @@ def cp_formula(c: float, p: float) -> float:
     (4c^2 / (p^2 2^(1+2/p)))^(p/2) / 2^(p+1) for p >= 2.
     """
     if c <= 0:
-        raise ValueError("Cheeger constant must be positive")
-    if p < 1:
-        raise ValueError("p must be at least 1")
+        raise InputError("Cheeger constant must be positive")
+    if not p >= 1:  # NaN fails too
+        raise InputError("p must be at least 1")
     if p < 2:
         return c * c / 2.0
     base = 4.0 * c * c / (p * p * 2.0 ** (1.0 + 2.0 / p))
@@ -59,9 +60,9 @@ def kappa_constant(max_valency: int, s: float, c: float, p: float, rho_plus_at_1
     """Uniform p-energy bound rho(1)^p K (1+s) / (s c_p) for Lipschitz maps
     out of a bounded-ratio measured graph with Cheeger constant c."""
     if max_valency <= 0 or not 0 < s <= 1:
-        raise ValueError("need valency bound >= 1 and s in (0, 1]")
+        raise InputError("need valency bound >= 1 and s in (0, 1]")
     if rho_plus_at_1 < 0:
-        raise ValueError("rho_plus(1) must be nonnegative")
+        raise InputError("rho_plus(1) must be nonnegative")
     return rho_plus_at_1 ** p * max_valency * (1.0 + s) / (s * cp_formula(c, p))
 
 
@@ -107,11 +108,11 @@ def _energies(eu, ev, aw, pairw, F: np.ndarray, p: float, eps: float = 0.0):
 
 def lp_energy_pair(walk: ReversibleWalk, f: Sequence[float], p: float) -> tuple[float, float]:
     """(edge energy, pair energy) of a single function, ordered-pair convention."""
-    if p < 1:
-        raise ValueError("p must be at least 1")
+    if not p >= 1:  # NaN fails too
+        raise InputError("p must be at least 1")
     vec = np.asarray(f, dtype=float)
     if vec.shape != (walk.graph.n,):
-        raise ValueError(f"function length {vec.shape} does not match {walk.graph.n} vertices")
+        raise InputError(f"function length {vec.shape} does not match {walk.graph.n} vertices")
     eu, ev, aw, pairw = _walk_arrays(walk)
     edge, pair = _energies(eu, ev, aw, pairw, vec[None, :], p)
     return float(edge[0]), float(pair[0])
@@ -121,7 +122,7 @@ def lp_energy_ratio(walk: ReversibleWalk, f: Sequence[float], p: float) -> float
     """Ratio of the edge energy to the pair energy; errors on constant f."""
     edge, pair = lp_energy_pair(walk, f, p)
     if pair == 0.0:
-        raise ValueError("constant function: pair energy vanishes")
+        raise InputError("constant function: pair energy vanishes")
     return edge / pair
 
 
@@ -135,19 +136,19 @@ class MeasuredEnergyCheck:
 def measured_lp_check(graph: MeasuredGraph, f: Sequence[float], p: float) -> MeasuredEnergyCheck:
     """Both sides of the measured Lp inequality: edge energy against the pair
     form taken in the vertex measure m (not in the stationary measure)."""
-    if p < 1:
-        raise ValueError("p must be at least 1")
+    if not p >= 1:  # NaN fails too
+        raise InputError("p must be at least 1")
     for v, m in enumerate(graph.measure):
         if m == 0:
-            raise ValueError(f"vertex {graph.labels[v]!r} has zero measure")
+            raise InputError(f"vertex {graph.labels[v]!r} has zero measure")
     vec = np.asarray(f, dtype=float)
     if vec.shape != (graph.n,):
-        raise ValueError(f"function length {vec.shape} does not match {graph.n} vertices")
+        raise InputError(f"function length {vec.shape} does not match {graph.n} vertices")
     eu, ev, aw, pairw = _pair_arrays(graph)
     edge, pair = _energies(eu, ev, aw, pairw, vec[None, :], p)
     lhs, rhs = float(edge[0]), float(pair[0])
     if rhs == 0.0:
-        raise ValueError("constant function: pair energy vanishes")
+        raise InputError("constant function: pair energy vanishes")
     return MeasuredEnergyCheck(lhs=lhs, rhs=rhs, ratio=lhs / rhs)
 
 
@@ -160,7 +161,6 @@ def optimal_lp_constant(
     restarts: int = 64,
     seed: int = 0,
     max_iters: int = 800,
-    grad_tol: float = _GRAD_TOL,
 ) -> PoincareEstimate:
     """Multi-start projected gradient descent on the Lp energy ratio.
 
@@ -170,12 +170,12 @@ def optimal_lp_constant(
     estimate is always the unsmoothed ratio at the final point, which keeps
     it a true upper bound.  Deterministic given the seed.
     """
-    if p < 1:
-        raise ValueError("p must be at least 1")
+    if not p >= 1:  # NaN fails too
+        raise InputError("p must be at least 1")
     if not walk.graph.connected:
-        raise ValueError("optimal constant search needs a connected graph")
+        raise InputError("optimal constant search needs a connected graph")
     if restarts < 1:
-        raise ValueError("need at least one restart")
+        raise InputError("need at least one restart")
     n = walk.graph.n
     eu, ev, aw, pairw = _walk_arrays(walk)
     eps = _SMOOTHING_EPS if p < 2 else 0.0
@@ -192,7 +192,7 @@ def optimal_lp_constant(
         tangent = grad - (grad * F).sum(axis=1, keepdims=True) * F
         tangent = tangent - tangent.mean(axis=1, keepdims=True)
         grad_norm = np.sqrt((tangent * tangent).sum(axis=1))
-        if (grad_norm < grad_tol).all():
+        if (grad_norm < _GRAD_TOL).all():
             break
         cand = _project(F - eta[:, None] * tangent)
         cand_edge, cand_pair = _energies(eu, ev, aw, pairw, cand, p, eps)
@@ -215,7 +215,7 @@ def optimal_lp_constant(
         estimate=float(final_ratio[best]),
         minimizer=tuple(float(x) for x in F[best]),
         restarts=restarts,
-        converged=bool(grad_norm[best] < grad_tol),
+        converged=bool(grad_norm[best] < _GRAD_TOL),
         gradient_norm=float(grad_norm[best]),
         iterations=iterations,
     )

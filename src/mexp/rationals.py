@@ -11,7 +11,12 @@ import math
 from fractions import Fraction
 
 
-class RationalFormatError(ValueError):
+class InputError(ValueError):
+    """Bad input: a malformed document, an invalid parameter or an argument
+    outside a function's domain.  The command line reports it as exit code 2."""
+
+
+class RationalFormatError(InputError):
     """A value in an input document is not an exact rational."""
 
 

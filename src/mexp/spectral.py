@@ -1,14 +1,18 @@
 """Graph Laplacians as symmetric pencils, spectral gaps, and the co-area identity.
 
-Two operators are built, both as a pencil (stiffness L, diagonal mass D):
+Two operators are built, both as a pencil (stiffness L, diagonal mass D)
+where L is the weighted graph Laplacian of an edge weight w:
+L[u,v] = -w(u,v) and L[u,u] = sum_v w(u,v).
 
   delta (walk Laplacian on l2(V; mu)):
-      L[u,u] = mu(u), L[u,v] = -a(u,v); mass mu.  L f = lam D f is the
-      eigenproblem of f(v) - sum_u f(u) r(v,u); the spectrum lies in [0, 2].
+      weight the conductance a, mass mu (so L[u,u] = mu(u)).  L f = lam D f
+      is the eigenproblem of f(v) - sum_u f(u) r(v,u); the spectrum lies in
+      [0, 2].
 
   lambda (measured-graph operator on l2(V; m)):
-      stiffness of the conductance m(u) + m(v); mass m.  Its smallest
-      positive eigenvalue is the best constant lam in
+      weight the conductance m(u) + m(v), mass m: the delta pencil of the
+      auxiliary walk with its mass mu replaced by m.  Its smallest positive
+      eigenvalue is the best constant lam in
       sum_{u~v} |f(u)-f(v)|^2 (m(u)+m(v)) >= 2 lam sum |f|^2 m
       over functions with sum f(v) m(v) = 0.
 
@@ -27,6 +31,7 @@ from typing import Sequence
 import numpy as np
 
 from .graphs import MeasuredGraph
+from .rationals import InputError
 from .walks import ReversibleWalk
 
 ZERO_TOLERANCE = 1e-9
@@ -49,49 +54,44 @@ class SelfAdjointOperator:
 class SpectralResult:
     """Ascending eigenvalues, the spectral gap, and the kernel dimension.
 
-    gap is the smallest eigenvalue above zero_tolerance (None if there is
-    none); zero_multiplicity counts eigenvalues below the tolerance and
-    equals the number of connected components of the underlying graph.
+    gap is the smallest eigenvalue at or above ZERO_TOLERANCE (None if
+    there is none); zero_multiplicity counts the eigenvalues below
+    ZERO_TOLERANCE and equals the number of connected components of the
+    underlying graph.
     """
 
     eigenvalues: tuple[float, ...]
     gap: float | None
     zero_multiplicity: int
-    zero_tolerance: float
 
 
 def delta_operator(walk: ReversibleWalk) -> SelfAdjointOperator:
     """Pencil representing the walk Laplacian on l2(V; mu)."""
-    n = walk.graph.n
-    stiff = np.zeros((n, n))
-    for (u, v), a in walk.a.items():
-        w = float(a)
-        stiff[u, v] -= w
-        stiff[v, u] -= w
-    mass = np.array([float(m) for m in walk.mu])
-    stiff[np.diag_indices(n)] = mass
-    return SelfAdjointOperator(kind="delta", stiffness=stiff, mass_diagonal=mass)
+    edges = walk.graph.edges
+    return _pencil("delta", walk.graph.n, edges, [walk.a[e] for e in edges], walk.mu)
 
 
 def lambda_operator(graph: MeasuredGraph) -> SelfAdjointOperator:
     """Pencil whose smallest positive eigenvalue is the measured spectral gap."""
     for v, m in enumerate(graph.measure):
         if m == 0:
-            raise ValueError(f"vertex {graph.labels[v]!r} has zero measure")
+            raise InputError(f"vertex {graph.labels[v]!r} has zero measure")
     if not graph.connected:
-        raise ValueError("the measured spectral gap is defined for connected graphs")
-    n = graph.n
+        raise InputError("the measured spectral gap is defined for connected graphs")
+    m = graph.measure
+    return _pencil("lambda", graph.n, graph.edges, [m[u] + m[v] for u, v in graph.edges], m)
+
+
+def _pencil(kind: str, n: int, edges, weights, mass) -> SelfAdjointOperator:
+    """Weighted graph Laplacian of the edge weights, diagonal the row sums,
+    with the given diagonal mass."""
     stiff = np.zeros((n, n))
-    diag = np.zeros(n)
-    for u, v in graph.edges:
-        w = float(graph.measure[u] + graph.measure[v])
-        stiff[u, v] -= w
-        stiff[v, u] -= w
-        diag[u] += w
-        diag[v] += w
-    stiff[np.diag_indices(n)] = diag
-    mass = np.array([float(m) for m in graph.measure])
-    return SelfAdjointOperator(kind="lambda", stiffness=stiff, mass_diagonal=mass)
+    if edges:
+        u, v = np.array(edges).T
+        w = np.array([float(x) for x in weights])
+        stiff[u, v] = stiff[v, u] = -w
+    stiff[np.diag_indices(n)] = -stiff.sum(axis=1)
+    return SelfAdjointOperator(kind=kind, stiffness=stiff, mass_diagonal=np.array([float(x) for x in mass]))
 
 
 def eigenpairs(op: SelfAdjointOperator):
@@ -102,7 +102,7 @@ def eigenpairs(op: SelfAdjointOperator):
     """
     d = op.mass_diagonal
     if np.any(d <= 0):
-        raise ValueError("mass diagonal must be strictly positive")
+        raise InputError("mass diagonal must be strictly positive")
     inv_sqrt = 1.0 / np.sqrt(d)
     sym = op.stiffness * np.outer(inv_sqrt, inv_sqrt)
     sym = (sym + sym.T) / 2.0
@@ -111,16 +111,15 @@ def eigenpairs(op: SelfAdjointOperator):
     return w, vecs
 
 
-def spectrum(op: SelfAdjointOperator, zero_tolerance: float = ZERO_TOLERANCE) -> SpectralResult:
+def spectrum(op: SelfAdjointOperator) -> SpectralResult:
     """Full eigenvalue list of the pencil with gap and kernel multiplicity."""
     w, _ = eigenpairs(op)
     # w is ascending, so the kernel is a prefix and the gap follows it
-    kernel = int(np.count_nonzero(w < zero_tolerance))
+    kernel = int(np.count_nonzero(w < ZERO_TOLERANCE))
     return SpectralResult(
         eigenvalues=tuple(w.tolist()),
         gap=float(w[kernel]) if kernel < len(w) else None,
         zero_multiplicity=kernel,
-        zero_tolerance=zero_tolerance,
     )
 
 
@@ -128,10 +127,10 @@ def rayleigh(op: SelfAdjointOperator, f: Sequence[float]) -> float:
     """Quadratic-form ratio (f' L f) / (f' D f)."""
     vec = np.asarray(f, dtype=float)
     if vec.shape != (op.n,):
-        raise ValueError(f"vector length {vec.shape} does not match {op.n} vertices")
+        raise InputError(f"vector length {vec.shape} does not match {op.n} vertices")
     mass_norm = float(vec @ (op.mass_diagonal * vec))
     if mass_norm <= 0.0:
-        raise ValueError("vector has zero mass norm")
+        raise InputError("vector has zero mass norm")
     return float(vec @ (op.stiffness @ vec)) / mass_norm
 
 
@@ -154,10 +153,10 @@ def coarea_check(walk: ReversibleWalk, f: Sequence) -> CoareaReport:
     """Verify the level-set decomposition for a nonnegative rational function."""
     values = [Fraction(x) for x in f]
     if len(values) != walk.graph.n:
-        raise ValueError(f"function has {len(values)} entries for {walk.graph.n} vertices")
+        raise InputError(f"function has {len(values)} entries for {walk.graph.n} vertices")
     for v, x in enumerate(values):
         if x < 0:
-            raise ValueError(f"entry {v} is negative ({x}); the identity needs f >= 0")
+            raise InputError(f"entry {v} is negative ({x}); the identity needs f >= 0")
     direct = Fraction(0)
     for (u, v), a in walk.a.items():
         direct += abs(values[u] ** 2 - values[v] ** 2) * a
@@ -174,17 +173,17 @@ def coarea_check(walk: ReversibleWalk, f: Sequence) -> CoareaReport:
     return CoareaReport(direct=direct, level_sum=level_sum, equal=direct == level_sum)
 
 
-def delta_gap(walk: ReversibleWalk, zero_tolerance: float = ZERO_TOLERANCE) -> float:
+def delta_gap(walk: ReversibleWalk) -> float:
     """Spectral gap of the walk Laplacian (requires a connected graph)."""
-    result = spectrum(delta_operator(walk), zero_tolerance)
+    result = spectrum(delta_operator(walk))
     if result.gap is None:
-        raise ValueError("walk Laplacian has no positive eigenvalue")
+        raise InputError("walk Laplacian has no positive eigenvalue")
     return result.gap
 
 
-def measured_gap(graph: MeasuredGraph, zero_tolerance: float = ZERO_TOLERANCE) -> float:
+def measured_gap(graph: MeasuredGraph) -> float:
     """Measured spectral gap: smallest positive eigenvalue of the lambda pencil."""
-    result = spectrum(lambda_operator(graph), zero_tolerance)
+    result = spectrum(lambda_operator(graph))
     if result.gap is None:
-        raise ValueError("measured-gap pencil has no positive eigenvalue")
+        raise InputError("measured-gap pencil has no positive eigenvalue")
     return result.gap

@@ -15,9 +15,10 @@ from typing import Mapping
 
 from .cheeger import DEFAULT_CAP, cheeger_conductance, cheeger_vertex
 from .graphs import GraphStats, MeasuredGraph, stats
+from .rationals import InputError
 
 
-class WalkError(ValueError):
+class WalkError(InputError):
     """Conductance data does not define a reversible walk on the graph."""
 
 
@@ -141,18 +142,9 @@ class AuxiliaryWalkReport:
         )
 
 
-def verify_auxiliary_walk(
-    graph: MeasuredGraph,
-    walk: ReversibleWalk | None = None,
-    cap: int = DEFAULT_CAP,
-) -> AuxiliaryWalkReport:
-    """Check the four auxiliary-walk conditions in exact rational arithmetic.
-
-    walk defaults to auxiliary_walk(graph); passing a different walk checks
-    whether it satisfies the same conditions.
-    """
-    if walk is None:
-        walk = auxiliary_walk(graph)
+def verify_auxiliary_walk(graph: MeasuredGraph, cap: int = DEFAULT_CAP) -> AuxiliaryWalkReport:
+    """Check the four auxiliary-walk conditions in exact rational arithmetic."""
+    walk = auxiliary_walk(graph)
     st = stats(graph)
     if st.ratio_bound is None:
         raise WalkError("measure-ratio bound undefined (zero-measure edge endpoint)")
@@ -187,9 +179,9 @@ def heat_kernel_measure(graph: MeasuredGraph, x0: int, k: int) -> tuple[Fraction
     """Distribution of the simple random walk (uniform over neighbors) after
     k steps from x0, as an exact probability vector."""
     if not 0 <= x0 < graph.n:
-        raise IndexError(f"vertex {x0} out of range 0..{graph.n - 1}")
+        raise InputError(f"vertex {x0} out of range 0..{graph.n - 1}")
     if k < 0:
-        raise ValueError("step count must be nonnegative")
+        raise InputError("step count must be nonnegative")
     if not graph.connected:
         raise WalkError("heat kernel measure needs a connected graph")
     p = [Fraction(0)] * graph.n

@@ -1,6 +1,9 @@
+import argparse
 import dataclasses
+import inspect
 import json
 import os
+import re
 import subprocess
 import sys
 from fractions import Fraction
@@ -161,12 +164,25 @@ class TestVerifyCommand:
         )
         assert code == 2 and "disjoint" in err
 
+    @pytest.mark.parametrize(
+        "option",
+        [("--tolerance", "nan"), ("--tolerance", "-1"), ("--p", "nan")],
+        ids=["tolerance-nan", "tolerance-negative", "p-nan"],
+    )
+    def test_bad_number_exits_two_not_one(self, capsys, c6_file, option):
+        code, out, err = run(capsys, "verify", "--input", c6_file, "--theorem", "lp-poincare", "--trials", "5", *option)
+        assert code == 2 and out == "" and err
 
-class TestCoareaCommand:
-    def test_runs_clean(self, capsys, c6_file):
-        code, out, _ = run(capsys, "coarea", "--input", c6_file, "--trials", "25")
+    def test_coarea_runs_clean(self, capsys, c6_file):
+        code, out, _ = run(capsys, "verify", "--input", c6_file, "--theorem", "coarea", "--trials", "25")
         assert code == 0
         assert report_of(out)["results"]["inputs"]["mismatches"] == 0
+
+    def test_unknown_label_exits_two(self, capsys, c6_file):
+        code, _, err = run(
+            capsys, "verify", "--input", c6_file, "--theorem", "distance-bound", "--set-a", "0", "--set-b", "x"
+        )
+        assert code == 2 and "unknown vertex label 'x'" in err
 
 
 class TestFamilyCommand:
@@ -221,6 +237,17 @@ class TestCertifyCommand:
         assert code == 1
         code, _, _ = run(capsys, "certify", "--dir", str(fam), "--p", "2", "--tolerance", "1e-5")
         assert code == 0
+
+    @pytest.mark.parametrize("table", ["[[1]]", '{"0": 1}', "[true]", '["1"]', "[2, 1]", "[0, 1", "[0, NaN]"])
+    def test_malformed_rho_exits_two(self, capsys, tmp_path, table):
+        fam = tmp_path / "fam"
+        fam.mkdir()
+        (fam / "g0.json").write_text(dump_graph(make_cycle(16, probability_counting_measure(16))), encoding="utf-8")
+        rho = tmp_path / "rho.json"
+        rho.write_text(table, encoding="utf-8")
+        code, out, err = run(capsys, "certify", "--dir", str(fam), "--p", "1", "--rho", str(rho))
+        assert code == 2 and out == ""
+        assert err.startswith("mexp: error:") and "Traceback" not in err
 
     def test_rho_table_file(self, capsys, tmp_path):
         fam = tmp_path / "fam"
@@ -277,6 +304,27 @@ class TestExitCodes:
         assert code == 3 and out == ""
         assert "Traceback" in err and "RuntimeError: broken invariant" in err
 
+    def test_numpy_value_error_is_an_internal_fault(self, capsys, c6_file, monkeypatch):
+        # a plain ValueError from inside numpy is a fault, not bad input
+        def fail(matrix):
+            raise ValueError("array must not contain infs or NaNs")
+
+        monkeypatch.setattr(np.linalg, "eigh", fail)
+        code, out, err = run(capsys, "spectrum", "--input", c6_file)
+        assert code == 3 and out == ""
+        assert "Traceback" in err and "ValueError: array must not contain infs or NaNs" in err
+
+    def test_directory_input_exits_two(self, capsys, tmp_path):
+        code, out, err = run(capsys, "cheeger", "--input", str(tmp_path))
+        assert code == 2 and out == ""
+        assert err.startswith("mexp: error:") and "Traceback" not in err
+
+    def test_non_utf8_input_exits_two(self, capsys, tmp_path):
+        path = tmp_path / "latin1.json"
+        path.write_bytes(b'{"vertices": [{"id": "\xe9", "m": "1"}]}')
+        code, _, err = run(capsys, "cheeger", "--input", str(path))
+        assert code == 2 and "not UTF-8" in err
+
     def test_lapack_failure_process_exits_three(self, c6_file):
         script = (
             "import sys, numpy\n"
@@ -300,3 +348,79 @@ class TestExitCodes:
             err = proc.stderr.read()
             assert proc.wait(timeout=60) == 0
         assert head == b'{\n  "verti' and err == b""
+
+
+def subparsers():
+    parser = cli._build_parser()
+    action = next(a for a in parser._actions if isinstance(a, argparse._SubParsersAction))
+    return action.choices
+
+
+def options_of(subparser):
+    """Option dests and flags of a subcommand, without --help."""
+    return [a for a in subparser._actions if not isinstance(a, argparse._HelpAction)]
+
+
+class TestOptions:
+    def test_parser_declares_34_options_over_7_subcommands(self):
+        commands = subparsers()
+        assert sorted(commands) == ["certify", "cheeger", "family", "generate", "poincare", "spectrum", "verify"]
+        assert sum(len(options_of(p)) for p in commands.values()) == 34
+
+    def test_every_option_is_read_by_its_handler(self):
+        for name, p in subparsers().items():
+            source = inspect.getsource(p.get_default("handler"))
+            unread = [a.dest for a in options_of(p) if f"args.{a.dest}" not in source]
+            assert not unread, f"{name}: {unread}"
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ("cheeger", "--tolerance", "1e-3"),
+            ("cheeger", "--seed", "1"),
+            ("spectrum", "--cap", "5"),
+            ("spectrum", "--tolerance", "1e-3"),
+            ("spectrum", "--seed", "1"),
+            ("poincare", "--p", "2", "--cap", "5"),
+            ("poincare", "--p", "2", "--tolerance", "1e-3"),
+            ("family", "--threshold", "1/5", "--tolerance", "1e-3"),
+            ("family", "--threshold", "1/5", "--seed", "1"),
+        ],
+        ids=lambda argv: argv[0] + argv[-2],
+    )
+    def test_retired_option_is_rejected(self, capsys, c6_file, argv):
+        command, *rest = argv
+        where = ["--dir", os.path.dirname(c6_file)] if command == "family" else ["--input", c6_file]
+        code, out, err = run(capsys, command, *where, *rest)
+        assert code == 2 and out == ""
+        assert f"unrecognized arguments: {rest[-2]} {rest[-1]}" in err
+
+    def test_coarea_is_a_theorem_not_a_command(self, capsys, c6_file):
+        code, _, err = run(capsys, "coarea", "--input", c6_file)
+        assert code == 2 and "invalid choice: 'coarea'" in err
+
+    def test_seed_is_null_for_commands_without_randomness(self, capsys, c6_file):
+        code, out, _ = run(capsys, "spectrum", "--input", c6_file)
+        assert code == 0 and report_of(out)["seed"] is None
+        code, out, _ = run(capsys, "verify", "--input", c6_file, "--theorem", "coarea", "--seed", "5")
+        assert code == 0 and report_of(out)["seed"] == 5
+
+
+class TestReadme:
+    def cli_block(self):
+        text = (Path(cli.__file__).resolve().parents[2] / "README.md").read_text(encoding="utf-8")
+        block = re.search(r"## CLI\n\n```\n(.*?)```", text, re.S).group(1)
+        commands = {}
+        for line in block.splitlines():
+            head = re.match(r"mexp (\w+)", line)
+            if head:
+                current = commands.setdefault(head.group(1), set())
+            current.update(re.findall(r"--[a-z][a-z-]*", line))
+        return commands
+
+    def test_cli_block_matches_the_parser(self):
+        declared = {
+            name: {flag for a in options_of(p) for flag in a.option_strings}
+            for name, p in subparsers().items()
+        }
+        assert self.cli_block() == declared

@@ -24,6 +24,7 @@ from mexp import (
     vertex_boundary,
 )
 from mexp.families import make_complete, make_cycle
+from mexp.graphs import bfs_distances
 
 
 K2_DOC = '{"vertices":[{"id":0,"m":"1"},{"id":1,"m":"1"}],"edges":[[0,1]]}'
@@ -120,6 +121,19 @@ class TestMetric:
                 assert (dist[u][v] == 0) == (u == v)
                 for w in range(g.n):
                     assert dist[u][w] <= dist[u][v] + dist[v][w]
+
+    def test_distance_table_matches_single_source_bfs(self):
+        rng = random.Random(5)
+        graphs = [helpers.rand_connected(rng, 2, 12) for _ in range(20)]
+        graphs += [helpers.possibly_disconnected(rng) for _ in range(20)]
+        assert any(not g.connected for g in graphs)
+        for g in graphs:
+            assert len(g.distances) == g.n
+            for v in range(g.n):
+                assert g.distances[v] == tuple(bfs_distances(g, (v,)))
+            assert g.connected == all(math.inf not in row for row in g.distances)
+            if g.connected:
+                assert diameter(g) == max(max(row) for row in oracles.brute_distances(g))
 
 
 class TestBoundaries:

@@ -69,6 +69,25 @@ class TestEigenpairs:
         assert result.zero_multiplicity == 1
 
 
+class TestSharedPencil:
+    def test_lambda_is_delta_of_the_auxiliary_walk_with_mass_m(self):
+        rng = random.Random(8)
+        for _ in range(30):
+            g = helpers.rand_connected(rng, 2, 14, measured=True)
+            lam, delta = lambda_operator(g), delta_operator(auxiliary_walk(g))
+            assert np.array_equal(lam.stiffness, delta.stiffness)
+            assert np.array_equal(lam.mass_diagonal, np.array([float(m) for m in g.measure]))
+            assert np.array_equal(delta.mass_diagonal, np.array([float(m) for m in auxiliary_walk(g).mu]))
+
+    def test_stiffness_rows_sum_to_zero(self):
+        rng = random.Random(9)
+        for _ in range(30):
+            g = helpers.rand_connected(rng, 2, 14, measured=True)
+            for op in (lambda_operator(g), delta_operator(helpers.rand_walk(rng, 2, 14))):
+                assert np.abs(op.stiffness.sum(axis=1)).max() <= 1e-12 * np.linalg.norm(op.stiffness)
+                assert np.array_equal(op.stiffness, op.stiffness.T)
+
+
 class TestDeltaOperator:
     def test_k2_any_conductance(self):
         for a in (Fraction(2), Fraction(1, 3), Fraction(7)):
