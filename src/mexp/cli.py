@@ -314,11 +314,12 @@ def _cmd_verify(args):
         report = verify_poincare_to_cheeger(graph, cap=args.cap, tol=args.tolerance)
     elif theorem == "distance-bound":
         walk = _walk_for(graph, conductance)
-        if args.set_a and args.set_b:
-            set_a = _resolve_labels(graph, args.set_a)
-            set_b = _resolve_labels(graph, args.set_b)
-        else:
+        if args.set_a is None and args.set_b is None:
             set_a, set_b = _random_disjoint_pair(graph, args.seed)
+        elif args.set_a is None or args.set_b is None:
+            raise InputError("distance-bound needs both --set-a and --set-b, or neither")
+        else:
+            set_a, set_b = _resolve_labels(graph, args.set_a), _resolve_labels(graph, args.set_b)
         report = distance_gap_bound(walk, set_a, set_b, tol=args.tolerance)
     elif theorem == "coarea":
         report = verify_coarea(_walk_for(graph, conductance), trials=args.trials, seed=args.seed)
@@ -354,10 +355,7 @@ def _load_family(directory: str) -> GraphFamily:
     files = sorted(root.glob("*.json"))
     if not files:
         raise FileNotFoundError(f"no *.json graph files in {directory}")
-    members = []
-    for path in files:
-        members.append(load_graph(_read_text(path)))
-    return GraphFamily(members=tuple(members), provenance={"dir": str(root), "files": [f.name for f in files]})
+    return GraphFamily(members=tuple(load_graph(_read_text(path)) for path in files))
 
 
 def _cmd_family(args):

@@ -10,9 +10,11 @@ from __future__ import annotations
 
 import math
 import random
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from fractions import Fraction
-from typing import Callable, Sequence
+from typing import Sequence
+
+import numpy as np
 
 from .cheeger import (
     DEFAULT_CAP,
@@ -22,7 +24,7 @@ from .cheeger import (
 )
 from .graphs import MeasuredGraph, VertexSubset, diameter, stats
 from .poincare import kappa_constant
-from .rationals import InputError
+from .rationals import InputError, scaled_integers
 from .spectral import measured_gap
 
 
@@ -87,34 +89,59 @@ def make_hypercube(dim: int, measure=None) -> MeasuredGraph:
 
 
 def random_regular(n: int, k: int, rng: random.Random, measure=None) -> MeasuredGraph:
-    """Random k-regular graph by the configuration model.
+    """Random connected k-regular graph by the configuration model.
 
     Pairings with loops or repeated edges are rejected and redrawn, as are
-    disconnected outcomes; 500 rejected pairings raise.
+    disconnected outcomes.  Once 500 pairings are rejected (dense degrees
+    make simple pairings rare), a connected circulant k-regular graph
+    (offsets 1..k/2, plus the diameter chords for odd k) is randomized by
+    seeded double-edge swaps that keep it simple and connected.
     """
-    if n * k % 2 != 0 or not 0 < k < n:
-        raise InputError(f"no {k}-regular graph on {n} vertices")
+    if n * k % 2 != 0 or not 0 < k < n or (k == 1 and n > 2):
+        raise InputError(f"no connected {k}-regular graph on {n} vertices")
     for _ in range(500):
         stubs = [v for v in range(n) for _ in range(k)]
         rng.shuffle(stubs)
-        edges = set()
-        ok = True
-        for i in range(0, len(stubs), 2):
-            u, v = stubs[i], stubs[i + 1]
-            if u == v:
-                ok = False
-                break
-            e = (u, v) if u < v else (v, u)
-            if e in edges:
-                ok = False
-                break
-            edges.add(e)
-        if not ok:
+        edges = {(min(u, v), max(u, v)) for u, v in zip(stubs[::2], stubs[1::2])}
+        if len(edges) == n * k // 2 and all(u != v for u, v in edges):
+            graph = MeasuredGraph.build(n, sorted(edges), measure or counting_measure(n))
+            if graph.connected:
+                return graph
+    offsets = [*range(1, k // 2 + 1)] + ([n // 2] if k % 2 else [])
+    adj = [{(v + j) % n for j in offsets} | {(v - j) % n for j in offsets} for v in range(n)]
+    edges = [(u, v) for u in range(n) for v in sorted(adj[u]) if u < v]
+    for _ in range(10 * len(edges)):
+        i, j = rng.sample(range(len(edges)), 2)
+        (a, b), (c, d) = edges[i], edges[j]
+        if rng.random() < 0.5:
+            c, d = d, c
+        if a == c or b == d or c in adj[a] or d in adj[b]:
             continue
-        graph = MeasuredGraph.build(n, sorted(edges), measure or counting_measure(n))
-        if graph.connected:
-            return graph
-    raise RuntimeError(f"configuration model rejected 500 pairings for n={n}, k={k}")
+        swap = ((a, b), (c, d), (a, c), (b, d))  # ab, cd out; ac, bd in
+        _toggle(adj, swap)
+        # every vertex still reaches one of a, b, c, d, so a ~ b keeps it connected
+        if _reaches(adj, a, b):
+            edges[i], edges[j] = (min(a, c), max(a, c)), (min(b, d), max(b, d))
+        else:
+            _toggle(adj, swap)
+    return MeasuredGraph.build(n, sorted(edges), measure or counting_measure(n))
+
+
+def _toggle(adj: list[set[int]], pairs) -> None:
+    for u, v in pairs:
+        adj[u] ^= {v}
+        adj[v] ^= {u}
+
+
+def _reaches(adj: list[set[int]], source: int, target: int) -> bool:
+    seen, stack = {source}, [source]
+    while stack:
+        for w in adj[stack.pop()] - seen:
+            if w == target:
+                return True
+            seen.add(w)
+            stack.append(w)
+    return False
 
 
 def random_connected_graph(
@@ -212,25 +239,16 @@ def full_support_perturbation(
         raise InputError("measure must be a probability measure (total 1)")
     if n < 1:
         raise InputError("n must be a positive integer")
-    support = [v for v in range(graph.n) if graph.measure[v] > 0]
-    holes = [v for v in range(graph.n) if graph.measure[v] == 0]
+    holes = graph.measure.count(0)
     if not holes:
         raise InputError("measure already has full support; nothing to perturb")
-    support_mask = graph.support_mask
-    if bad_set.mask & ~support_mask:
+    if bad_set.mask & ~graph.support_mask:
         raise InputError("bad set must lie inside the support")
     mass = sum((graph.measure[v] for v in bad_set.indices()), Fraction(0))
     if not 0 < mass <= Fraction(1, 2):
         raise InputError(f"bad set needs 0 < mu(A) <= 1/2, got {mass}")
     shift = mass / n
-    fill = shift / len(holes)
-    out = []
-    for v in range(graph.n):
-        if graph.measure[v] > 0:
-            out.append((1 - shift) * graph.measure[v])
-        else:
-            out.append(fill)
-    return tuple(out)
+    return tuple((1 - shift) * m if m > 0 else shift / holes for m in graph.measure)
 
 
 # -- family reports ------------------------------------------------------------
@@ -239,7 +257,6 @@ def full_support_perturbation(
 @dataclass(frozen=True)
 class GraphFamily:
     members: tuple[MeasuredGraph, ...]
-    provenance: dict = field(default_factory=dict)
 
     def __post_init__(self):
         if not self.members:
@@ -384,16 +401,15 @@ class CertificateRow:
     index: int
     size: int
     gamma: Fraction
-    skipped: str | None
-    cutoff: float | None
-    pair_measure: dict | None
-    off_diagonal_mass: Fraction | None
-    symmetric: bool | None
-    probability: bool | None
-    supported_off_cutoff: bool | None
-    kappa: float
-    max_tested_energy: float | None
-    test_maps: tuple[TestMapResult, ...]
+    skipped: str | None = None
+    cutoff: float | None = None
+    pair_measure: dict | None = None
+    off_diagonal_mass: Fraction | None = None
+    symmetric: bool | None = None
+    probability: bool | None = None
+    supported_off_cutoff: bool | None = None
+    max_tested_energy: float | None = None
+    test_maps: tuple[TestMapResult, ...] = ()
 
 
 @dataclass(frozen=True)
@@ -411,7 +427,7 @@ class GeneralisedCertificate:
 def generalised_certificate(
     family: GraphFamily,
     p: float,
-    rho_plus: RhoTable | Callable | None = None,
+    rho_plus: RhoTable | None = None,
     test_maps: Sequence[Sequence[Sequence[float]]] | None = None,
     seed: int = 0,
     cap: int = DEFAULT_CAP,
@@ -424,9 +440,16 @@ def generalised_certificate(
     is log_K(1/(8 gamma)) (K the family valency bound) and the pair measure
     m(x)m(y) is restricted to pairs farther apart than the cutoff and
     renormalized; members with gamma >= 1/8 are skipped and reported.
-    Supplied test maps are vectors of coordinates per vertex; each map is
-    accepted only if it obeys the modulus pairwise, and accepted maps are
-    checked against the uniform energy bound 8 kappa.
+    Supplied test maps are vectors of coordinates per vertex, n rows of one
+    nonzero length; each map is accepted only if it obeys the modulus
+    pairwise, and accepted maps are checked against the uniform energy bound
+    8 kappa.
+
+    Exact and float parts: the pair measure (Fractions), the off-diagonal
+    mass (a Fraction) and the symmetric, probability and off-cutoff flags
+    come from integer pair weights m(x)m(y) scaled by the common denominator,
+    with the cutoff decided exactly per distance; the cutoff value, the
+    modulus checks and the energies are float.
 
     The family Cheeger floor entering kappa uses exact enumeration up to the
     cap and the spectral-gap lower bound s*gap/(2(1+s)K) beyond it; any lower
@@ -453,144 +476,96 @@ def generalised_certificate(
             cheegers.append(float(cheeger_vertex(graph, cap=cap).value))
             sources.append("exact")
         else:
-            gap = measured_gap(graph)
             s = st.ratio_bound
-            cheegers.append(float(s / (2 * (1 + s) * st.max_valency)) * gap)
+            cheegers.append(float(s / (2 * (1 + s) * st.max_valency)) * measured_gap(graph))
             sources.append("spectral-bound")
     c_floor = min(cheegers)
 
     diameters = [diameter(g) for g in members]
     if rho_plus is None:
         rho_plus = RhoTable.identity(max(max(diameters), 1))
-    rho1 = float(rho_plus(1))
-    kappa = kappa_constant(big_k, float(s_floor), c_floor, p, rho1)
-    bound = 8.0 * kappa
+    kappa = kappa_constant(big_k, float(s_floor), c_floor, p, float(rho_plus(1)))
 
     rng = random.Random(seed)
     rows = []
     for index, graph in enumerate(members):
         gamma = max(graph.measure)
         if 8 * gamma >= 1:
-            rows.append(
-                CertificateRow(
-                    index=index,
-                    size=graph.n,
-                    gamma=gamma,
-                    skipped=f"peak mass {gamma} >= 1/8: cutoff would be nonpositive",
-                    cutoff=None,
-                    pair_measure=None,
-                    off_diagonal_mass=None,
-                    symmetric=None,
-                    probability=None,
-                    supported_off_cutoff=None,
-                    kappa=kappa,
-                    max_tested_energy=None,
-                    test_maps=(),
-                )
-            )
+            skipped = f"peak mass {gamma} >= 1/8: cutoff would be nonpositive"
+            rows.append(CertificateRow(index, graph.n, gamma, skipped=skipped))
             continue
-        cutoff = math.log(1.0 / (8.0 * float(gamma))) / math.log(big_k)
-        dist = graph.distances
+        n = graph.n
+        dist = np.array(graph.distances, dtype=np.intp)
+        by_distance = range(diameters[index] + 1)
         # d > cutoff  <=>  8 gamma K^d > 1, decided exactly once per distance
-        beyond = [8 * gamma * big_k ** d > 1 for d in range(diameters[index] + 1)]
+        beyond = np.array([8 * gamma * big_k ** d > 1 for d in by_distance])[dist]
+        rho = np.array([float(rho_plus(d)) for d in by_distance])[dist]
 
-        near_mass = Fraction(0)
-        for x in range(graph.n):
-            for y in range(graph.n):
-                if not beyond[dist[x][y]]:
-                    near_mass += graph.measure[x] * graph.measure[y]
-        off_mass = 1 - near_mass
-        nu: dict[tuple[int, int], Fraction] = {}
-        for x in range(graph.n):
-            for y in range(graph.n):
-                if beyond[dist[x][y]]:
-                    nu[(x, y)] = graph.measure[x] * graph.measure[y] / off_mass
-        symmetric = all(nu.get((y, x)) == v for (x, y), v in nu.items())
-        probability = sum(nu.values(), Fraction(0)) == 1
-        supported = all(beyond[dist[x][y]] for (x, y) in nu)
+        scaled, scale = scaled_integers(graph.measure)
+        weights = np.array(scaled, dtype=object)
+        far = np.where(beyond, np.outer(weights, weights), 0)
+        far_sum = int(far.sum())
+        xs, ys = np.nonzero(far)
+        far_weights = far[xs, ys].tolist()
+        nu = dict(zip(zip(xs.tolist(), ys.tolist()), (Fraction(w, far_sum) for w in far_weights)))
+        nu_float = np.array([w / far_sum for w in far_weights])  # correctly rounded, as float(Fraction)
 
-        maps = []
-        if test_maps is not None and index < len(test_maps):
-            for j, fmap in enumerate(test_maps[index]):
-                maps.append((f"supplied-{j}", [[float(x) for x in row] for row in fmap]))
-        maps.extend(_default_test_maps(graph, dist, rho_plus, p, rng))
+        supplied = test_maps[index] if test_maps is not None and index < len(test_maps) else ()
+        maps = [(f"supplied-{j}", _supplied_map(fmap, n)) for j, fmap in enumerate(supplied)]
         results = []
-        max_energy = None
-        for name, values in maps:
-            violation = _modulus_violation(values, dist, rho_plus, p)
-            if violation is not None:
-                results.append(TestMapResult(name=name, accepted=False, energy=None, violating_pair=violation))
-                continue
-            energy = 0.0
-            for (x, y), w in nu.items():
-                energy += _lp_distance(values[x], values[y], p) ** p * float(w)
-            max_energy = energy if max_energy is None else max(max_energy, energy)
-            results.append(TestMapResult(name=name, accepted=True, energy=energy, violating_pair=None))
+        for name, values in maps + _default_test_maps(graph, rho, p, rng):
+            powers = sum(np.abs(col[:, None] - col[None, :]) ** p for col in values.T)
+            violations = np.flatnonzero(np.triu(powers ** (1.0 / p) > rho + 1e-9, 1))
+            if violations.size:
+                results.append(TestMapResult(name, False, None, divmod(int(violations[0]), n)))
+            else:
+                results.append(TestMapResult(name, True, float(powers[xs, ys] @ nu_float), None))
         rows.append(
             CertificateRow(
-                index=index,
-                size=graph.n,
-                gamma=gamma,
-                skipped=None,
-                cutoff=cutoff,
+                index,
+                n,
+                gamma,
+                cutoff=math.log(1.0 / (8.0 * float(gamma))) / math.log(big_k),
                 pair_measure=nu,
-                off_diagonal_mass=off_mass,
-                symmetric=symmetric,
-                probability=probability,
-                supported_off_cutoff=supported,
-                kappa=kappa,
-                max_tested_energy=max_energy,
+                off_diagonal_mass=Fraction(far_sum, scale * scale),
+                symmetric=bool((far == far.T).all()),
+                probability=far_sum > 0,  # nu = far / far_sum then sums to exactly 1
+                supported_off_cutoff=bool(beyond[xs, ys].all()),
+                max_tested_energy=max((t.energy for t in results if t.accepted), default=None),
                 test_maps=tuple(results),
             )
         )
-    return GeneralisedCertificate(
-        rows=tuple(rows),
-        p=float(p),
-        kappa=kappa,
-        max_valency=big_k,
-        ratio_floor=s_floor,
-        cheeger_floor=c_floor,
-        cheeger_sources=tuple(sources),
-        energy_bound=bound,
-    )
+    return GeneralisedCertificate(tuple(rows), float(p), kappa, big_k, s_floor, c_floor, tuple(sources), 8.0 * kappa)
 
 
-def _lp_distance(x: Sequence[float], y: Sequence[float], p: float) -> float:
-    return sum(abs(a - b) ** p for a, b in zip(x, y)) ** (1.0 / p)
+def _supplied_map(fmap, n: int) -> np.ndarray:
+    values = [[float(x) for x in row] for row in fmap]
+    if len(values) != n or not values[0] or any(len(row) != len(values[0]) for row in values):
+        raise InputError(f"a test map needs {n} rows of one nonzero length")
+    return np.array(values)
 
 
-def _modulus_violation(values, dist, rho_plus, p: float):
-    n = len(values)
-    for x in range(n):
-        for y in range(x + 1, n):
-            if _lp_distance(values[x], values[y], p) > rho_plus(dist[x][y]) + 1e-9:
-                return (x, y)
-    return None
-
-
-def _default_test_maps(graph, dist, rho_plus, p, rng):
+def _default_test_maps(graph, rho, p, rng):
     """Distance coordinates from two seeded roots plus two greedily extended
-    random maps staying inside the modulus envelope."""
+    random maps staying inside the modulus envelope; rho is the (n, n) table
+    of the modulus at each pair's distance."""
     maps = []
     n = graph.n
-    for i in range(2):
+    for _ in range(2):
         root = rng.randrange(n)
-        maps.append((f"distance-from-{graph.labels[root]}", [[rho_plus(dist[root][v])] for v in range(n)]))
-    for i in range(2):
-        dims = 1 + (i % 2)
+        maps.append((f"distance-from-{graph.labels[root]}", rho[root][:, None]))
+    for dims in (1, 2):
         scale = dims ** (-1.0 / p)
-        coords = [[0.0] * dims for _ in range(n)]
+        coords = np.zeros((n, dims))
         order = list(range(n))
         rng.shuffle(order)
         for d in range(dims):
-            assigned: list[int] = []
-            for x in order:
-                if not assigned:
-                    coords[x][d] = 0.0
-                else:
-                    lo = max(coords[y][d] - scale * rho_plus(dist[x][y]) for y in assigned)
-                    hi = min(coords[y][d] + scale * rho_plus(dist[x][y]) for y in assigned)
-                    coords[x][d] = (lo + hi) / 2.0 if lo > hi else lo + rng.random() * (hi - lo)
-                assigned.append(x)
-        maps.append((f"greedy-{i}", coords))
+            # order[0] stays at 0; each later vertex lands inside the band the
+            # already placed ones allow, or at its midpoint if it is empty
+            for t in range(1, n):
+                x, placed = order[t], order[:t]
+                lo = (coords[placed, d] - scale * rho[x, placed]).max()
+                hi = (coords[placed, d] + scale * rho[x, placed]).min()
+                coords[x, d] = (lo + hi) / 2.0 if lo > hi else lo + rng.random() * (hi - lo)
+        maps.append((f"greedy-{dims - 1}", coords))
     return maps

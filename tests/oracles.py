@@ -170,3 +170,24 @@ def brute_pair_energy(weights, total_weight, f, p: float) -> float:
         for v in range(n):
             total += abs(f[u] - f[v]) ** p * float(weights[u]) * float(weights[v])
     return total / float(total_weight)
+
+
+def _lp_distance(x, y, p: float) -> float:
+    """Lp distance between two coordinate vectors."""
+    return sum(abs(a - b) ** p for a, b in zip(x, y)) ** (1.0 / p)
+
+
+def _modulus_violation(values, dist, rho_plus, p: float):
+    """First pair x < y in row-major order whose Lp distance exceeds the
+    modulus at their distance by more than 1e-9, or None."""
+    n = len(values)
+    for x in range(n):
+        for y in range(x + 1, n):
+            if _lp_distance(values[x], values[y], p) > rho_plus(dist[x][y]) + 1e-9:
+                return (x, y)
+    return None
+
+
+def brute_certificate_energy(values, nu, p: float) -> float:
+    """sum over the pair measure of |f(x) - f(y)|_p^p nu(x, y), pair by pair."""
+    return sum(_lp_distance(values[x], values[y], p) ** p * float(w) for (x, y), w in nu.items())

@@ -178,6 +178,15 @@ class TestVerifyCommand:
         assert code == 0
         assert report_of(out)["results"]["inputs"]["mismatches"] == 0
 
+    @pytest.mark.parametrize("given", ["--set-a", "--set-b"])
+    def test_one_set_alone_exits_two(self, capsys, tmp_path, given):
+        # a lone set used to be dropped for a random pair
+        path = tmp_path / "c8.json"
+        path.write_text(dump_graph(make_cycle(8)), encoding="utf-8")
+        code, out, err = run(capsys, "verify", "--input", str(path), "--theorem", "distance-bound", given, "0")
+        assert code == 2 and out == ""
+        assert "both --set-a and --set-b" in err
+
     def test_unknown_label_exits_two(self, capsys, c6_file):
         code, _, err = run(
             capsys, "verify", "--input", c6_file, "--theorem", "distance-bound", "--set-a", "0", "--set-b", "x"
@@ -260,7 +269,32 @@ class TestCertifyCommand:
         assert code == 0
 
 
+    def test_violating_pairs_are_json_int_pairs(self, capsys, tmp_path):
+        # a steep modulus makes every default map violate it
+        fam = tmp_path / "fam"
+        fam.mkdir()
+        (fam / "g0.json").write_text(dump_graph(make_cycle(16, probability_counting_measure(16))), encoding="utf-8")
+        rho = tmp_path / "rho.json"
+        rho.write_text("[0, 1, 10]", encoding="utf-8")
+        code, out, _ = run(capsys, "certify", "--dir", str(fam), "--p", "2", "--rho", str(rho))
+        assert code == 0
+        maps = report_of(out)["results"]["rows"][0]["test_maps"]
+        assert [m["name"] for m in maps] == ["distance-from-12", "distance-from-13", "greedy-0", "greedy-1"]
+        for m in maps:
+            assert m["accepted"] is False and m["energy"] is None
+            pair = m["violating_pair"]
+            assert isinstance(pair, list) and len(pair) == 2 and all(type(v) is int for v in pair)
+        assert maps[0]["violating_pair"] == [10, 11]
+
+
 class TestGenerate:
+    @pytest.mark.parametrize("n, k, code", [(12, 10, 0), (12, 6, 0), (4, 1, 2)])
+    def test_random_regular_exit_codes(self, capsys, n, k, code):
+        got, out, err = run(capsys, "generate", "random_regular", "--n", str(n), "--k", str(k))
+        assert got == code and "Traceback" not in err
+        if code == 0:
+            assert len(json.loads(out)["edges"]) == n * k // 2
+
     def test_writes_loadable_graph(self, capsys):
         code, out, _ = run(capsys, "generate", "cycle", "--n", "5")
         assert code == 0

@@ -8,6 +8,7 @@ import helpers
 import oracles
 from mexp import (
     GraphFamily,
+    InputError,
     MeasuredGraph,
     RhoTable,
     VertexSubset,
@@ -55,6 +56,39 @@ class TestGenerate:
     def test_infeasible_degree(self):
         with pytest.raises(ValueError):
             random_regular(5, 3, random.Random(0))
+
+    def test_no_connected_one_regular_graph(self):
+        assert random_regular(2, 1, random.Random(0)).edges == ((0, 1),)
+        with pytest.raises(InputError, match="connected 1-regular"):
+            random_regular(4, 1, random.Random(0))
+
+    @pytest.mark.parametrize("k", [6, 10, 11])
+    def test_dense_degrees_are_built(self, k):
+        # simple pairings are rare at these degrees, so the swap construction runs
+        graphs = [random_regular(12, k, random.Random(seed)) for seed in range(k, k + 5)]
+        for g in graphs:
+            assert g.connected and all(g.degree(v) == k for v in range(12))
+            assert len(set(g.edges)) == 6 * k and all(u < v for u, v in g.edges)
+        if k < 11:  # K12 is the only 11-regular graph on 12 vertices
+            assert len({g.edges for g in graphs}) > 1
+
+    @pytest.mark.parametrize("k", [2, 3])
+    def test_swaps_keep_sparse_graphs_connected(self, k):
+        class Unshuffled(random.Random):
+            def shuffle(self, x):  # stubs stay sorted, so every pairing has a loop
+                pass
+
+        for seed in range(5):
+            g = random_regular(30, k, Unshuffled(seed))
+            assert g.connected and all(g.degree(v) == k for v in range(30))
+
+    def test_pairing_output_is_unchanged(self):
+        # the k = 3 recipes of the stored benchmark references depend on it
+        assert random_regular(20, 3, random.Random(4000)).edges == (
+            (0, 10), (0, 15), (0, 19), (1, 2), (1, 5), (1, 8), (2, 9), (2, 14), (3, 6), (3, 10),
+            (3, 14), (4, 6), (4, 16), (4, 17), (5, 11), (5, 15), (6, 12), (7, 10), (7, 16), (7, 18),
+            (8, 15), (8, 17), (9, 16), (9, 19), (11, 12), (11, 13), (12, 18), (13, 17), (13, 18), (14, 19),
+        )  # fmt: skip
 
     def test_rational_measure(self):
         g = generate("cycle", measure="rationals", seed=3, n=5)
@@ -285,6 +319,16 @@ class TestCertificate:
         assert supplied and not supplied[0].accepted
         assert supplied[0].violating_pair is not None
 
+    @pytest.mark.parametrize(
+        "bad",
+        [[[0.0]] * 3, [[0.0]] + [[0.0, 1.0]] * 15, [[]] * 16],
+        ids=["three-rows", "ragged", "empty-rows"],
+    )
+    def test_malformed_supplied_map_rejected(self, bad):
+        g = make_cycle(16, probability_counting_measure(16))
+        with pytest.raises(InputError, match="16 rows"):
+            generalised_certificate(GraphFamily(members=(g,)), p=2.0, test_maps=[[bad]])
+
     def test_rho_table_validation(self):
         with pytest.raises(ValueError, match="nondecreasing"):
             RhoTable((0.0, 2.0, 1.0))
@@ -295,3 +339,100 @@ class TestCertificate:
         bad = MeasuredGraph.build(4, [(0, 1), (2, 3)], [Fraction(1, 4)] * 4)
         with pytest.raises(ValueError, match="connected"):
             generalised_certificate(GraphFamily(members=(bad,)), p=2.0)
+
+
+def _oracle_families():
+    rng = random.Random(4321)
+    regular = [random_regular(n, 3, rng) for n in (10, 20, 32)]
+    return {
+        "regular-counting": (regular, 2.0),
+        "regular-probability": ([g.with_measure(probability_counting_measure(g.n)) for g in regular], 2.0),
+        "regular-random": (
+            [g.with_measure([Fraction(rng.randrange(3, 6), rng.randrange(3, 6)) for _ in range(g.n)]) for g in regular],
+            2.0,
+        ),
+        # C4 has peak mass 1/4 and is skipped
+        "cycles": ([make_cycle(4, probability_counting_measure(4)), make_cycle(16)], 1.5),
+        "c64": ([make_cycle(64)], 3.0),
+    }
+
+
+# Default test maps per member as (name, energy), pinned to the values of the
+# pair-by-pair implementation the array passes replaced; None marks a skipped
+# member.  Counting and probability-counting measures normalize to the same
+# member, so they share one entry.
+_PINNED_DEFAULT_MAPS = {
+    "regular/identity": [
+        [("distance-from-9", 2.133333333333332), ("distance-from-4", 1.7999999999999992), ("greedy-0", 1.010975662810852), ("greedy-1", 0.6938083563735362)],
+        [("distance-from-4", 3.005263157894726), ("distance-from-8", 3.426315789473676), ("greedy-0", 1.5262166782110818), ("greedy-1", 1.4341071432078896)],
+        [("distance-from-17", 3.875000000000005), ("distance-from-18", 4.910714285714275), ("greedy-0", 1.616287846645792), ("greedy-1", 1.0538742329750677)],
+    ],
+    "regular/table": [
+        [("distance-from-9", 0.5653333333333332), ("distance-from-4", 0.5342222222222224), ("greedy-0", 0.5178998803355067), ("greedy-1", 0.5069142315892153)],
+        [("distance-from-4", 0.36442105263157737), ("distance-from-8", 0.3587368421052611), ("greedy-0", 0.3877628441578039), ("greedy-1", 0.47066179590919865)],
+        [("distance-from-17", 0.26183035714285724), ("distance-from-18", 0.262008928571428), ("greedy-0", 0.34736707445255033), ("greedy-1", 0.3873367933531626)],
+    ],
+    "regular-random/identity": [
+        None,
+        [("distance-from-19", 3.2627768510309303), ("distance-from-8", 3.5964281262299216), ("greedy-0", 0.699333004303423), ("greedy-1", 1.0492653960792004)],
+        [("distance-from-17", 3.5259014364511567), ("distance-from-5", 5.659212680530917), ("greedy-0", 3.13308464468757), ("greedy-1", 1.9527210206850985)],
+    ],
+    "regular-random/table": [
+        None,
+        [("distance-from-19", 0.44399748167632436), ("distance-from-8", 0.35437021599037405), ("greedy-0", 0.42022688777206907), ("greedy-1", 0.3630025691786499)],
+        [("distance-from-17", 0.17998006120022642), ("distance-from-5", 0.23092993646091217), ("greedy-0", 0.39192031168929453), ("greedy-1", 0.40623743135717566)],
+    ],
+    "cycles/identity": [
+        None,
+        [("distance-from-8", 6.348589802494217), ("distance-from-11", 6.348589802494219), ("greedy-0", 2.298328324768984), ("greedy-1", 4.009444536688465)],
+    ],
+    "cycles/table": [
+        None,
+        [("distance-from-8", 0.417659395975421), ("distance-from-11", 0.41765939597542107), ("greedy-0", 0.630276548010991), ("greedy-1", 0.5241416098335105)],
+    ],
+    "c64/identity": [
+        [("distance-from-32", 3689.9956140351505), ("distance-from-45", 3689.9956140351283), ("greedy-0", 887.9285284718085), ("greedy-1", 336.10848124912764)],
+    ],
+    "c64/table": [
+        [("distance-from-32", 0.17545997807017347), ("distance-from-45", 0.1754599780701736), ("greedy-0", 0.38326556315048865), ("greedy-1", 0.40327790233994615)],
+    ],
+}  # fmt: skip
+
+
+@pytest.mark.parametrize("table", ["identity", "table"])
+@pytest.mark.parametrize("name", list(_oracle_families()))
+def test_certificate_matches_pair_by_pair_oracle(name, table):
+    members, p = _oracle_families()[name]
+    rho_plus = None if table == "identity" else RhoTable((0, 1, 1.5, 1.7))
+    rng = random.Random(77)
+    supplied = [
+        [
+            [[0.5 * rng.random(), 0.5 * rng.random()] for _ in range(g.n)],  # inside every modulus here
+            [[3.0 * rng.random()] for _ in range(g.n)],  # violates it
+        ]
+        for g in members
+    ]
+    cert = generalised_certificate(GraphFamily(members=tuple(members)), p, rho_plus=rho_plus, test_maps=supplied, seed=5)
+    oracle_rho = (lambda d: float(d)) if rho_plus is None else rho_plus
+    pinned = _PINNED_DEFAULT_MAPS[f"{name.replace('-counting', '').replace('-probability', '')}/{table}"]
+    for graph, maps, row, expected in zip(members, supplied, cert.rows, pinned, strict=True):
+        if expected is None:
+            assert row.skipped is not None and row.test_maps == () and row.pair_measure is None
+            continue
+        nu, off_mass = TestCertificate.brute_pair_measure(graph, cert.max_valency)
+        assert row.pair_measure == nu and row.off_diagonal_mass == off_mass
+        assert all(type(x) is int and type(y) is int for x, y in row.pair_measure)
+        assert row.symmetric is True and row.probability is True and row.supported_off_cutoff is True
+        dist = oracles.brute_distances(graph)
+        results = row.test_maps
+        assert [t.name for t in results] == ["supplied-0", "supplied-1"] + [e[0] for e in expected]
+        for values, result in zip(maps, results):
+            violation = oracles._modulus_violation(values, dist, oracle_rho, p)
+            assert result.accepted == (violation is None) and result.violating_pair == violation
+            if violation is None:
+                assert result.energy == pytest.approx(oracles.brute_certificate_energy(values, nu, p), rel=1e-12)
+        assert results[0].accepted and not results[1].accepted
+        for (_, pin), result in zip(expected, results[2:]):
+            assert result.accepted and result.energy == pytest.approx(pin, rel=1e-12)
+        energies = [t.energy for t in results if t.accepted]
+        assert row.max_tested_energy == max(energies)
