@@ -36,8 +36,6 @@ from .graphs import (
     VertexSubset,
     diameter,
     dump_graph,
-    edge_boundary,
-    hop_distance,
     load_conductance,
     load_graph,
     measure_of,
@@ -76,7 +74,6 @@ from .spectral import (
     eigenpairs,
     lambda_operator,
     measured_gap,
-    rayleigh,
     spectrum,
 )
 from .walks import (

@@ -1,21 +1,28 @@
 """Command-line front end.
 
 Every subcommand is a thin adapter over the library: it loads inputs, calls
-one operation, and prints a JSON report to stdout.  Exit codes: 0 on success
-(including "inequality holds"), 1 when a verified inequality is violated
-(a bug sentinel, since these are proved statements), 2 on bad input (a
-usage error, an unreadable or malformed file, an argument outside its
-domain, or a graph beyond the enumeration cap), 3 on any other exception,
-an internal fault whose traceback goes to stderr.  A reader that closes the
-pipe early ends the output quietly, with the command's own code.  Each
-subcommand declares only the options its handler reads; randomized commands
-take an explicit --seed and default to 0, and no entropy is drawn from the
-environment.
+one operation, and prints a JSON report to stdout.  The results of spectrum,
+poincare, family and certify are the library's result dataclasses rendered
+field by field: rationals as "p/q" strings, pair keys as "x,y", and six
+fields under the paper's symbols (size as n, max_valency as K, ratio_bound
+as s, peak_fraction as gamma, ghostly_verdict as ghostly, pair_measure as
+nu).  spectrum adds the operator name, and its zero_multiplicity is the
+graph's component count; certify emits nu only with --emit-nu and never on
+a skipped member.  Exit codes: 0 on success (including "inequality holds"),
+1 when a verified inequality is violated (a bug sentinel, since these are
+proved statements), 2 on bad input (a usage error, an unreadable or
+malformed file, an argument outside its domain, or a graph beyond the
+enumeration cap), 3 on any other exception, an internal fault whose
+traceback goes to stderr.  A reader that closes the pipe early ends the
+output quietly, with the command's own code.  Each subcommand declares only
+the options its handler reads; randomized commands take an explicit --seed
+and default to 0, and no entropy is drawn from the environment.
 """
 
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import hashlib
 import json
 import math
@@ -187,17 +194,19 @@ def _build_parser() -> argparse.ArgumentParser:
 # -- loading helpers ---------------------------------------------------------
 
 
-def _read_text(path) -> str:
+def _read_json(path, **options):
     try:
-        return Path(path).read_text(encoding="utf-8")
+        return json.loads(Path(path).read_text(encoding="utf-8"), **options)
     except UnicodeDecodeError as exc:
         raise InputError(f"{path}: not UTF-8 text ({exc.reason})") from None
+    except json.JSONDecodeError as exc:
+        raise InputError(f"{path}: not valid JSON: {exc}") from None
 
 
 def _read_document(path: str):
-    text = _read_text(path)
-    graph = load_graph(text)
-    return graph, load_conductance(text, graph)
+    doc = _read_json(path)
+    graph = load_graph(doc)
+    return graph, load_conductance(doc, graph)
 
 
 def _walk_for(graph: MeasuredGraph, conductance):
@@ -209,23 +218,14 @@ def _walk_for(graph: MeasuredGraph, conductance):
 
 def _resolve_labels(graph: MeasuredGraph, text: str) -> VertexSubset:
     indices = []
-    for token in text.split(","):
-        token = token.strip()
-        if not token:
-            continue
-        candidates = [token]
+    for token in filter(None, map(str.strip, text.split(","))):
         try:
-            candidates.append(int(token))
-        except ValueError:
-            pass
-        for cand in candidates:
-            try:
-                indices.append(graph.index_of(cand))
-                break
-            except InputError:
-                continue
-        else:
-            raise InputError(f"unknown vertex label {token!r}")
+            indices.append(graph.index_of(token))
+        except InputError:
+            try:  # an integer label
+                indices.append(graph.index_of(int(token)))
+            except (ValueError, InputError):
+                raise InputError(f"unknown vertex label {token!r}") from None
     return VertexSubset.from_indices(graph.n, indices)
 
 
@@ -243,13 +243,27 @@ def _inputs_digest(args) -> dict:
     return digest
 
 
+# Result fields reported under the paper's symbol; every other field keeps
+# its name.
+_KEYS = {
+    "size": "n",
+    "max_valency": "K",
+    "ratio_bound": "s",
+    "peak_fraction": "gamma",
+    "ghostly_verdict": "ghostly",
+    "pair_measure": "nu",
+}
+
+
 def _jsonable(obj):
+    if dataclasses.is_dataclass(obj):
+        return {_KEYS.get(f.name, f.name): _jsonable(getattr(obj, f.name)) for f in dataclasses.fields(obj)}
     if isinstance(obj, Fraction):
         return format_rational(obj)
     if isinstance(obj, float):
         return float(f"{obj:.17g}")
     if isinstance(obj, dict):
-        return {str(k): _jsonable(v) for k, v in obj.items()}
+        return {",".join(map(str, k)) if isinstance(k, tuple) else str(k): _jsonable(v) for k, v in obj.items()}
     if isinstance(obj, (list, tuple)):
         return [_jsonable(v) for v in obj]
     return obj
@@ -277,28 +291,12 @@ def _cmd_spectrum(args):
         op = delta_operator(_walk_for(graph, conductance))
     else:
         op = lambda_operator(graph)
-    result = spectrum(op)
-    return 0, {
-        "operator": args.operator,
-        "eigenvalues": list(result.eigenvalues),
-        "gap": result.gap,
-        "zero_multiplicity": result.zero_multiplicity,
-    }
+    return 0, {"operator": args.operator, **_jsonable(spectrum(op))}
 
 
 def _cmd_poincare(args):
     graph, conductance = _read_document(args.input)
-    walk = _walk_for(graph, conductance)
-    est = optimal_lp_constant(walk, args.p, restarts=args.restarts, seed=args.seed)
-    return 0, {
-        "p": est.p,
-        "estimate": est.estimate,
-        "restarts": est.restarts,
-        "converged": est.converged,
-        "gradient_norm": est.gradient_norm,
-        "iterations": est.iterations,
-        "minimizer": list(est.minimizer),
-    }
+    return 0, optimal_lp_constant(_walk_for(graph, conductance), args.p, restarts=args.restarts, seed=args.seed)
 
 
 def _cmd_verify(args):
@@ -355,42 +353,17 @@ def _load_family(directory: str) -> GraphFamily:
     files = sorted(root.glob("*.json"))
     if not files:
         raise FileNotFoundError(f"no *.json graph files in {directory}")
-    return GraphFamily(members=tuple(load_graph(_read_text(path)) for path in files))
+    return GraphFamily(members=tuple(load_graph(_read_json(path)) for path in files))
 
 
 def _cmd_family(args):
     family = _load_family(args.dir)
     threshold = parse_rational(args.threshold, where="--threshold")
-    report = family_report(family, threshold, cap=args.cap)
-    rows = [
-        {
-            "index": r.index,
-            "n": r.size,
-            "cheeger": None if r.cheeger is None else format_rational(r.cheeger),
-            "gap": r.gap,
-            "K": r.max_valency,
-            "s": None if r.ratio_bound is None else format_rational(r.ratio_bound),
-            "gamma": format_rational(r.peak_fraction),
-            "error": r.error,
-        }
-        for r in report.rows
-    ]
-    return 0, {
-        "rows": rows,
-        "threshold": format_rational(report.threshold),
-        "uniform_valency": report.uniform_valency,
-        "ratio_floor": None if report.ratio_floor is None else format_rational(report.ratio_floor),
-        "ghostly": report.ghostly_verdict,
-        "expander_verdict": report.expander_verdict,
-        "partial": report.partial,
-    }
+    return 0, family_report(family, threshold, cap=args.cap)
 
 
 def _load_rho(path: str) -> RhoTable:
-    try:
-        table = json.loads(_read_text(path), parse_int=float)
-    except json.JSONDecodeError as exc:
-        raise InputError(f"{path}: not valid JSON: {exc}") from None
+    table = _read_json(path, parse_int=float)
     if not isinstance(table, list) or not all(type(x) is float for x in table):
         raise InputError(f"{path}: expected a JSON array of numbers")
     return RhoTable(tuple(table))
@@ -400,50 +373,19 @@ def _cmd_certify(args):
     family = _load_family(args.dir)
     rho = None if args.rho is None else _load_rho(args.rho)
     cert = generalised_certificate(family, args.p, rho_plus=rho, seed=args.seed, cap=args.cap)
-    rows = []
-    violated = False
-    for r in cert.rows:
-        entry = {
-            "index": r.index,
-            "n": r.size,
-            "gamma": format_rational(r.gamma),
-            "skipped": r.skipped,
-            "cutoff": r.cutoff,
-            "off_diagonal_mass": None if r.off_diagonal_mass is None else format_rational(r.off_diagonal_mass),
-            "symmetric": r.symmetric,
-            "probability": r.probability,
-            "supported_off_cutoff": r.supported_off_cutoff,
-            "max_tested_energy": r.max_tested_energy,
-            "test_maps": [
-                {
-                    "name": t.name,
-                    "accepted": t.accepted,
-                    "energy": t.energy,
-                    "violating_pair": t.violating_pair,
-                }
-                for t in r.test_maps
-            ],
-        }
-        if args.emit_nu and r.pair_measure is not None:
-            entry["nu"] = {
-                f"{x},{y}": format_rational(w) for (x, y), w in sorted(r.pair_measure.items())
-            }
-        rows.append(entry)
-        if r.skipped is None:
-            if not (r.symmetric and r.probability and r.supported_off_cutoff):
-                violated = True
-            if r.max_tested_energy is not None and r.max_tested_energy > cert.energy_bound + args.tolerance:
-                violated = True
-    return (1 if violated else 0), {
-        "rows": rows,
-        "p": cert.p,
-        "kappa": cert.kappa,
-        "energy_bound": cert.energy_bound,
-        "K": cert.max_valency,
-        "ratio_floor": format_rational(cert.ratio_floor),
-        "cheeger_floor": cert.cheeger_floor,
-        "cheeger_sources": list(cert.cheeger_sources),
-    }
+    violated = any(
+        not (r.symmetric and r.probability and r.supported_off_cutoff)
+        or (r.max_tested_energy is not None and r.max_tested_energy > cert.energy_bound + args.tolerance)
+        for r in cert.rows
+        if r.skipped is None
+    )
+    if not args.emit_nu:
+        cert = dataclasses.replace(cert, rows=tuple(dataclasses.replace(r, pair_measure=None) for r in cert.rows))
+    results = _jsonable(cert)
+    for row in results["rows"]:
+        if row["nu"] is None:  # not asked for, or a skipped member
+            del row["nu"]
+    return int(violated), results
 
 
 def _cmd_generate(args):

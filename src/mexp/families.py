@@ -71,15 +71,6 @@ def make_complete(n: int, measure=None) -> MeasuredGraph:
     return MeasuredGraph.build(n, edges, measure or counting_measure(n))
 
 
-def make_star(leaves: int, measure=None) -> MeasuredGraph:
-    """Star with center 0 and the given number of leaves."""
-    if leaves < 1:
-        raise InputError("a star needs at least one leaf")
-    n = leaves + 1
-    edges = [(0, v) for v in range(1, n)]
-    return MeasuredGraph.build(n, edges, measure or counting_measure(n))
-
-
 def make_hypercube(dim: int, measure=None) -> MeasuredGraph:
     if dim < 1:
         raise InputError("hypercube dimension must be at least 1")

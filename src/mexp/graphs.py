@@ -54,9 +54,6 @@ class VertexSubset:
     def __len__(self) -> int:
         return bin(self.mask).count("1")
 
-    def complement(self) -> "VertexSubset":
-        return VertexSubset(self.n, ~self.mask & ((1 << self.n) - 1))
-
 
 @dataclass(frozen=True)
 class GraphStats:
@@ -189,36 +186,17 @@ class MeasuredGraph:
     def degree(self, v: int) -> int:
         return len(self.neighbors[v])
 
-    def index_of(self, label) -> int:
-        try:
-            return self.labels.index(label)
-        except ValueError:
-            raise InputError(f"unknown vertex label {label!r}") from None
+    @cached_property
+    def _index(self) -> dict:
+        return {(type(label), label): v for v, label in enumerate(self.labels)}
 
-    def full_subset(self) -> VertexSubset:
-        return VertexSubset(self.n, (1 << self.n) - 1)
+    def index_of(self, label, where: str = "label") -> int:
+        """Vertex of a label, matched by JSON type and value as in documents."""
+        return _lookup(self._index, label, where)
 
     def with_measure(self, measure: Sequence) -> "MeasuredGraph":
         """Same graph, different measure (validated)."""
         return MeasuredGraph.build(self.n, self.edges, measure, labels=self.labels)
-
-    def induced_subgraph(self, subset: VertexSubset) -> "MeasuredGraph":
-        """Full subgraph on the given vertices, measure restricted."""
-        keep = subset.indices()
-        if not keep:
-            raise GraphFormatError("induced subgraph needs at least one vertex")
-        new_index = {v: i for i, v in enumerate(keep)}
-        edges = [
-            (new_index[u], new_index[v])
-            for u, v in self.edges
-            if u in new_index and v in new_index
-        ]
-        return MeasuredGraph.build(
-            len(keep),
-            edges,
-            [self.measure[v] for v in keep],
-            labels=[self.labels[v] for v in keep],
-        )
 
 
 # -- loading ---------------------------------------------------------------
@@ -238,17 +216,17 @@ def load_graph(document) -> MeasuredGraph:
         raise GraphFormatError("document needs a nonempty \"vertices\" array")
     labels = []
     measure = []
-    seen = set()
+    index = {}
     for i, entry in enumerate(vertices):
         if not isinstance(entry, dict) or "id" not in entry or "m" not in entry:
             raise GraphFormatError(f"vertices[{i}]: expected an object with \"id\" and \"m\"")
         label = entry["id"]
         if isinstance(label, (dict, list)):
             raise GraphFormatError(f"vertices[{i}]: label must be a scalar")
-        key = (type(label).__name__, label)
-        if key in seen:
+        key = (type(label), label)
+        if key in index:
             raise GraphFormatError(f"vertices[{i}]: duplicate vertex id {label!r}")
-        seen.add(key)
+        index[key] = i
         try:
             mv = parse_rational(entry["m"], where=f"vertices[{i}].m")
         except RationalFormatError as exc:
@@ -257,14 +235,6 @@ def load_graph(document) -> MeasuredGraph:
             raise GraphFormatError(f"vertices[{i}]: negative measure {entry['m']!r}")
         labels.append(label)
         measure.append(mv)
-    index = {(type(l).__name__, l): i for i, l in enumerate(labels)}
-
-    def lookup(label, where):
-        key = (type(label).__name__, label)
-        if key not in index:
-            raise GraphFormatError(f"{where}: unknown vertex {label!r}")
-        return index[key]
-
     raw_edges = doc.get("edges", [])
     if not isinstance(raw_edges, list):
         raise GraphFormatError("\"edges\" must be an array of pairs")
@@ -272,9 +242,7 @@ def load_graph(document) -> MeasuredGraph:
     for i, pair in enumerate(raw_edges):
         if not isinstance(pair, list) or len(pair) != 2:
             raise GraphFormatError(f"edges[{i}]: expected a pair [u, v]")
-        u = lookup(pair[0], f"edges[{i}]")
-        v = lookup(pair[1], f"edges[{i}]")
-        edges.append((u, v))
+        edges.append(tuple(_lookup(index, label, f"edges[{i}]") for label in pair))
     return MeasuredGraph.build(len(labels), edges, measure, labels=labels)
 
 
@@ -294,8 +262,7 @@ def load_conductance(document, graph: MeasuredGraph) -> dict[tuple[int, int], Fr
     for i, triple in enumerate(raw):
         if not isinstance(triple, list) or len(triple) != 3:
             raise GraphFormatError(f"conductance[{i}]: expected [u, v, value]")
-        u = graph.index_of(triple[0])
-        v = graph.index_of(triple[1])
+        u, v = (graph.index_of(label, f"conductance[{i}]") for label in triple[:2])
         if u == v:
             raise GraphFormatError(f"conductance[{i}]: loop entry at {triple[0]!r}")
         key = (min(u, v), max(u, v))
@@ -325,6 +292,15 @@ def dump_graph(graph: MeasuredGraph, conductance: dict[tuple[int, int], Fraction
     return json.dumps(doc, indent=2)
 
 
+def _lookup(index: dict, label, where: str) -> int:
+    """Vertex of a label, matched by JSON type and value, so that true is not
+    1 and 2.0 is not 2."""
+    try:
+        return index[type(label), label]
+    except (KeyError, TypeError):  # TypeError: an unhashable label
+        raise GraphFormatError(f"{where}: unknown vertex {label!r}") from None
+
+
 def _decode(document):
     if isinstance(document, (str, bytes)):
         try:
@@ -339,16 +315,6 @@ def _decode(document):
 
 
 # -- metric and boundaries -------------------------------------------------
-
-
-def hop_distance(graph: MeasuredGraph, u: int, v: int) -> int | float:
-    """Length of a shortest edge path from u to v; math.inf across components."""
-    if not (0 <= u < graph.n and 0 <= v < graph.n):
-        raise InputError(f"vertex out of range 0..{graph.n - 1}")
-    if u == v:
-        return 0
-    dist = bfs_distances(graph, (u,))
-    return dist[v]
 
 
 def bfs_distances(graph: MeasuredGraph, sources: Iterable[int]) -> list[int | float]:
@@ -382,14 +348,6 @@ def vertex_boundary(graph: MeasuredGraph, subset: VertexSubset) -> VertexSubset:
         if mask >> v & 1:
             reach |= graph.neighbor_masks[v]
     return VertexSubset(graph.n, reach & ~mask)
-
-
-def edge_boundary(graph: MeasuredGraph, subset: VertexSubset) -> tuple[tuple[int, int], ...]:
-    """Edges with exactly one endpoint in the subset, as (u, v) with u < v."""
-    mask = subset.mask
-    return tuple(
-        (u, v) for u, v in graph.edges if (mask >> u & 1) != (mask >> v & 1)
-    )
 
 
 def r_boundary(graph: MeasuredGraph, subset: VertexSubset, radius: int) -> VertexSubset:

@@ -34,16 +34,19 @@ from .graphs import MeasuredGraph
 from .rationals import InputError
 from .walks import ReversibleWalk
 
-ZERO_TOLERANCE = 1e-9
-
 
 @dataclass(frozen=True)
 class SelfAdjointOperator:
-    """Symmetric pencil (stiffness, diagonal mass) of a graph operator."""
+    """Symmetric pencil (stiffness, diagonal mass) of a graph operator.
+
+    components is the number of connected components of the weighted graph;
+    with positive weights it is exactly the dimension of the kernel.
+    """
 
     kind: str  # "delta" | "lambda"
     stiffness: np.ndarray
     mass_diagonal: np.ndarray
+    components: int
 
     @property
     def n(self) -> int:
@@ -54,10 +57,10 @@ class SelfAdjointOperator:
 class SpectralResult:
     """Ascending eigenvalues, the spectral gap, and the kernel dimension.
 
-    gap is the smallest eigenvalue at or above ZERO_TOLERANCE (None if
-    there is none); zero_multiplicity counts the eigenvalues below
-    ZERO_TOLERANCE and equals the number of connected components of the
-    underlying graph.
+    zero_multiplicity is the number of connected components of the
+    underlying graph, taken from the graph and not read off the computed
+    eigenvalues; gap is the eigenvalue that follows the kernel (None if there
+    is none), however small it is.
     """
 
     eigenvalues: tuple[float, ...]
@@ -68,7 +71,7 @@ class SpectralResult:
 def delta_operator(walk: ReversibleWalk) -> SelfAdjointOperator:
     """Pencil representing the walk Laplacian on l2(V; mu)."""
     edges = walk.graph.edges
-    return _pencil("delta", walk.graph.n, edges, [walk.a[e] for e in edges], walk.mu)
+    return _pencil("delta", walk.graph.n, edges, [walk.a[e] for e in edges], walk.mu, walk.graph.component_count)
 
 
 def lambda_operator(graph: MeasuredGraph) -> SelfAdjointOperator:
@@ -79,19 +82,19 @@ def lambda_operator(graph: MeasuredGraph) -> SelfAdjointOperator:
     if not graph.connected:
         raise InputError("the measured spectral gap is defined for connected graphs")
     m = graph.measure
-    return _pencil("lambda", graph.n, graph.edges, [m[u] + m[v] for u, v in graph.edges], m)
+    return _pencil("lambda", graph.n, graph.edges, [m[u] + m[v] for u, v in graph.edges], m, 1)
 
 
-def _pencil(kind: str, n: int, edges, weights, mass) -> SelfAdjointOperator:
+def _pencil(kind: str, n: int, edges, weights, mass, components: int) -> SelfAdjointOperator:
     """Weighted graph Laplacian of the edge weights, diagonal the row sums,
-    with the given diagonal mass."""
+    with the given diagonal mass and the graph's component count."""
     stiff = np.zeros((n, n))
     if edges:
         u, v = np.array(edges).T
         w = np.array([float(x) for x in weights])
         stiff[u, v] = stiff[v, u] = -w
     stiff[np.diag_indices(n)] = -stiff.sum(axis=1)
-    return SelfAdjointOperator(kind=kind, stiffness=stiff, mass_diagonal=np.array([float(x) for x in mass]))
+    return SelfAdjointOperator(kind, stiff, np.array([float(x) for x in mass]), components)
 
 
 def eigenpairs(op: SelfAdjointOperator):
@@ -114,24 +117,14 @@ def eigenpairs(op: SelfAdjointOperator):
 def spectrum(op: SelfAdjointOperator) -> SpectralResult:
     """Full eigenvalue list of the pencil with gap and kernel multiplicity."""
     w, _ = eigenpairs(op)
-    # w is ascending, so the kernel is a prefix and the gap follows it
-    kernel = int(np.count_nonzero(w < ZERO_TOLERANCE))
+    # w is ascending and the kernel has one dimension per component, so the
+    # gap is eigenvalue number k
+    k = op.components
     return SpectralResult(
         eigenvalues=tuple(w.tolist()),
-        gap=float(w[kernel]) if kernel < len(w) else None,
-        zero_multiplicity=kernel,
+        gap=float(w[k]) if k < len(w) else None,
+        zero_multiplicity=k,
     )
-
-
-def rayleigh(op: SelfAdjointOperator, f: Sequence[float]) -> float:
-    """Quadratic-form ratio (f' L f) / (f' D f)."""
-    vec = np.asarray(f, dtype=float)
-    if vec.shape != (op.n,):
-        raise InputError(f"vector length {vec.shape} does not match {op.n} vertices")
-    mass_norm = float(vec @ (op.mass_diagonal * vec))
-    if mass_norm <= 0.0:
-        raise InputError("vector has zero mass norm")
-    return float(vec @ (op.stiffness @ vec)) / mass_norm
 
 
 @dataclass(frozen=True)

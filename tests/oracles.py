@@ -143,6 +143,24 @@ def brute_heat_kernel(graph, x0: int, steps: int):
     return tuple(vec)
 
 
+def induced_subgraph(graph, vertices):
+    """The graph on the given vertices with every edge among them and the
+    measure restricted, built as a fresh MeasuredGraph."""
+    from mexp import MeasuredGraph
+
+    keep = sorted(vertices)
+    new = {v: i for i, v in enumerate(keep)}
+    edges = [(new[u], new[v]) for u in keep for v in graph.neighbors[u] if v in new and u < v]
+    return MeasuredGraph.build(len(keep), edges, [graph.measure[v] for v in keep])
+
+
+def rayleigh(op, f) -> float:
+    """Quadratic-form ratio (f' L f) / (f' D f) of a pencil by explicit loops."""
+    n = len(f)
+    top = sum(float(f[u]) * op.stiffness[u][v] * float(f[v]) for u in range(n) for v in range(n))
+    return top / sum(op.mass_diagonal[u] * float(f[u]) ** 2 for u in range(n))
+
+
 def cycle_gap(n: int) -> float:
     """Spectral gap of the simple walk on an n-cycle: 1 - cos(2 pi / n)."""
     return 1.0 - math.cos(2.0 * math.pi / n)

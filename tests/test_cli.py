@@ -6,13 +6,23 @@ import os
 import re
 import subprocess
 import sys
+import typing
 from fractions import Fraction
 from pathlib import Path
 
 import numpy as np
 import pytest
 
-from mexp import MeasuredGraph, cli, dump_graph, generalised_certificate
+from mexp import (
+    FamilyReport,
+    GeneralisedCertificate,
+    MeasuredGraph,
+    PoincareEstimate,
+    SpectralResult,
+    cli,
+    dump_graph,
+    generalised_certificate,
+)
 from mexp.cli import main
 from mexp.families import make_cycle, probability_counting_measure, random_regular
 import random
@@ -80,6 +90,21 @@ class TestCheegerCommand:
         code, _, err = run(capsys, "cheeger", "--input", str(path))
         assert code == 2 and "unknown vertex" in err
 
+    @pytest.mark.parametrize("section", ["edges", "conductance"])
+    @pytest.mark.parametrize("first", [True, [1]], ids=["true", "list"])
+    def test_labels_match_by_json_type(self, capsys, tmp_path, section, first):
+        # true is not vertex 1, 2.0 is not vertex 2 and a list is no label,
+        # in either section
+        doc = {"vertices": [{"id": v, "m": "1"} for v in (1, 2, 3)], "edges": [[1, 2], [2, 3]]}
+        doc[section] = [[first, 2, "5"], [2.0, 3, "1"]]
+        if section == "edges":
+            doc[section] = [pair[:2] for pair in doc[section]]
+        path = tmp_path / "typed.json"
+        path.write_text(json.dumps(doc), encoding="utf-8")
+        code, out, err = run(capsys, "cheeger", "--input", str(path), "--flavor", "conductance")
+        assert code == 2 and out == ""
+        assert f"{section}[0]: unknown vertex {first!r}" in err
+
     def test_missing_file_exits_two(self, capsys):
         code, _, err = run(capsys, "cheeger", "--input", "/nonexistent.json")
         assert code == 2
@@ -125,6 +150,25 @@ class TestVerifyCommand:
         code, out, _ = run(capsys, "verify", "--input", c6_file, "--theorem", theorem)
         assert code == 0
         assert report_of(out)["results"]["holds"] is True
+
+    def test_weak_bridge_holds(self, capsys, tmp_path):
+        # the bridge mode 1e-11 is the gap, not part of the kernel, so
+        # gap <= 2c holds
+        path = tmp_path / "bridge.json"
+        path.write_text(
+            json.dumps(
+                {
+                    "vertices": [{"id": v, "m": "1"} for v in "abcd"],
+                    "edges": [["a", "b"], ["b", "c"], ["c", "d"]],
+                    "conductance": [["a", "b", "1"], ["b", "c", "1/100000000000"], ["c", "d", "1"]],
+                }
+            ),
+            encoding="utf-8",
+        )
+        code, out, _ = run(capsys, "verify", "--input", str(path), "--theorem", "cheeger-sandwich")
+        assert code == 0 and report_of(out)["results"]["holds"] is True
+        code, out, _ = run(capsys, "spectrum", "--input", str(path))
+        assert report_of(out)["results"]["zero_multiplicity"] == 1
 
     def test_distance_bound_with_sets(self, capsys, c6_file):
         code, out, _ = run(
@@ -285,6 +329,243 @@ class TestCertifyCommand:
             pair = m["violating_pair"]
             assert isinstance(pair, list) and len(pair) == 2 and all(type(v) is int for v in pair)
         assert maps[0]["violating_pair"] == [10, 11]
+
+
+GOLDEN_DOCUMENT = """{
+  "vertices": [{"id": "a", "m": "1"}, {"id": "b", "m": "2"}, {"id": "c", "m": "3"}, {"id": "d", "m": "1/2"}],
+  "edges": [["a", "b"], ["b", "c"], ["c", "d"], ["d", "a"], ["a", "c"]],
+  "conductance": [["a", "b", "1"], ["b", "c", "1/3"], ["c", "d", "2"], ["d", "a", "5/4"], ["a", "c", "1/7"]]
+}"""
+
+CAP_ERROR = (
+    "exact mode infeasible: 8 vertices exceed the enumeration cap 6 (2^8 subsets); "
+    "raise the cap only if the runtime is acceptable"
+)
+SKIPPED_C4 = "peak mass 1/4 >= 1/8: cutoff would be nonpositive"
+
+
+def assert_same(got, expected, where="results"):
+    """Exact key sets, exact strings, ints and flags, floats to 1e-12
+    relative (1e-12 absolute for round-off zeros such as kernel eigenvalues)."""
+    if isinstance(expected, float):
+        assert type(got) is float and got == pytest.approx(expected, rel=1e-12, abs=1e-12), where
+    elif isinstance(expected, dict):
+        assert type(got) is dict and set(got) == set(expected), where
+        for key in expected:
+            assert_same(got[key], expected[key], f"{where}.{key}")
+    elif isinstance(expected, list):
+        assert type(got) is list and len(got) == len(expected), where
+        for i, (g, e) in enumerate(zip(got, expected)):
+            assert_same(g, e, f"{where}[{i}]")
+    else:
+        assert type(got) is type(expected) and got == expected, where
+
+
+class TestGoldenResults:
+    """Every rendered result of spectrum, poincare, family and certify,
+    pinned value for value."""
+
+    @pytest.fixture
+    def document(self, tmp_path):
+        path = tmp_path / "k4-minus-edge.json"
+        path.write_text(GOLDEN_DOCUMENT, encoding="utf-8")
+        return str(path)
+
+    @pytest.fixture
+    def cycles(self, tmp_path):
+        fam = tmp_path / "cycles"
+        fam.mkdir()
+        for i, n in enumerate((4, 6, 8)):
+            (fam / f"g{i}.json").write_text(dump_graph(make_cycle(n)), encoding="utf-8")
+        return str(fam)
+
+    @pytest.fixture
+    def certified(self, tmp_path):
+        # C4 is skipped (peak mass 1/4); C24 with masses 1, 2, 1, ... has
+        # peak 1/18, so neighbours fall inside the cutoff and nu is not uniform
+        fam = tmp_path / "certified"
+        fam.mkdir()
+        (fam / "g0.json").write_text(dump_graph(make_cycle(4)), encoding="utf-8")
+        (fam / "g1.json").write_text(dump_graph(make_cycle(24, [1, 2] * 12)), encoding="utf-8")
+        return str(fam)
+
+    def results(self, capsys, *argv, code=0):
+        got, out, err = run(capsys, *argv)
+        assert got == code, err
+        return report_of(out)["results"]
+
+    def test_spectrum_delta(self, capsys, document):
+        assert_same(
+            self.results(capsys, "spectrum", "--input", document, "--operator", "delta"),
+            {
+                "operator": "delta",
+                "eigenvalues": [0.0, 0.7059414246435105, 1.352735588311353, 1.9413229870451367],
+                "gap": 0.7059414246435105,
+                "zero_multiplicity": 1,
+            },
+        )
+
+    def test_spectrum_lambda(self, capsys, document):
+        assert_same(
+            self.results(capsys, "spectrum", "--input", document, "--operator", "lambda"),
+            {
+                "operator": "lambda",
+                "eigenvalues": [0.0, 5.378773970295792, 9.335121055258096, 11.95277164111278],
+                "gap": 5.378773970295792,
+                "zero_multiplicity": 1,
+            },
+        )
+
+    @pytest.mark.parametrize(
+        "p, estimate, gradient_norm, minimizer",
+        [
+            (
+                2.0,
+                0.7059414246435106,
+                3.449860189097922e-08,
+                [-0.3244174249816023, -0.6461482343617903, 0.5411708608192974, 0.4293947985240952],
+            ),
+            (
+                1.5,
+                0.7534301401265697,
+                5.5614599412864114e-08,
+                [-0.42644878245630136, -0.5682402068313167, 0.5137976186151009, 0.4808913706725171],
+            ),
+        ],
+    )
+    def test_poincare(self, capsys, document, p, estimate, gradient_norm, minimizer):
+        assert_same(
+            self.results(capsys, "poincare", "--input", document, "--p", str(p), "--restarts", "4"),
+            {
+                "p": p,
+                "estimate": estimate,
+                "restarts": 4,
+                "converged": False,
+                "gradient_norm": gradient_norm,
+                "iterations": 800,
+                "minimizer": minimizer,
+            },
+        )
+
+    def test_family_with_a_member_beyond_the_cap(self, capsys, cycles):
+        def row(index, n, cheeger, gap, gamma, error=None):
+            return {"index": index, "n": n, "cheeger": cheeger, "gap": gap, "K": 2, "s": "1", "gamma": gamma, "error": error}
+
+        assert_same(
+            self.results(capsys, "family", "--dir", cycles, "--threshold", "1/5", "--cap", "6"),
+            {
+                "rows": [
+                    row(0, 4, "1", 4.0, "1/4"),
+                    row(1, 6, "2/3", 1.9999999999999982, "1/6"),
+                    row(2, 8, None, 1.171572875253808, "1/8", CAP_ERROR),
+                ],
+                "threshold": "1/5",
+                "uniform_valency": 2,
+                "ratio_floor": "1",
+                "ghostly": "consistent with ghostly",
+                "expander_verdict": None,
+                "partial": True,
+            },
+        )
+
+    def certificate(self, nu=None):
+        skipped = {
+            "index": 0,
+            "n": 4,
+            "gamma": "1/4",
+            "skipped": SKIPPED_C4,
+            "cutoff": None,
+            "off_diagonal_mass": None,
+            "symmetric": None,
+            "probability": None,
+            "supported_off_cutoff": None,
+            "max_tested_energy": None,
+            "test_maps": [],
+        }
+
+        def accepted(name, energy):
+            return {"name": name, "accepted": True, "energy": energy, "violating_pair": None}
+
+        member = {
+            "index": 1,
+            "n": 24,
+            "gamma": "1/18",
+            "skipped": None,
+            "cutoff": 1.1699250014423124,
+            "off_diagonal_mass": "95/108",
+            "symmetric": True,
+            "probability": True,
+            "supported_off_cutoff": True,
+            "max_tested_energy": 27.957894736842107,
+            "test_maps": [
+                accepted("distance-from-12", 27.2),
+                accepted("distance-from-13", 27.957894736842107),
+                accepted("greedy-0", 6.658414251301534),
+                accepted("greedy-1", 6.0748971644626915),
+            ],
+        }
+        if nu is not None:
+            member["nu"] = nu
+        return {
+            "rows": [skipped, member],
+            "p": 2.0,
+            "kappa": 1494136.5210741186,
+            "energy_bound": 11953092.168592948,
+            "K": 2,
+            "ratio_floor": "1/2",
+            "cheeger_floor": 0.011335886102948629,
+            "cheeger_sources": ["exact", "spectral-bound"],
+        }
+
+    def test_certify(self, capsys, certified):
+        assert_same(
+            self.results(capsys, "certify", "--dir", certified, "--p", "2", "--cap", "10"),
+            self.certificate(),
+        )
+
+    def test_certify_emits_nu_on_certified_rows_only(self, capsys, certified):
+        # m(x) m(y) over the pairs at cycle distance 2 or more, renormalised
+        m = [1, 2] * 12
+        far = {(x, y): m[x] * m[y] for x in range(24) for y in range(24) if min((x - y) % 24, (y - x) % 24) >= 2}
+        total = sum(far.values())
+        nu = {f"{x},{y}": str(Fraction(w, total)) for (x, y), w in far.items()}
+        assert len(nu) == 504 and nu["0,2"] == "1/1140" and nu["0,3"] == "1/570"
+        results = self.results(capsys, "certify", "--dir", certified, "--p", "2", "--cap", "10", "--emit-nu")
+        assert_same(results, self.certificate(nu))
+        assert list(results["rows"][1]["nu"]) == list(nu)  # row-major pair order
+
+
+def rendered_dataclasses():
+    """The result dataclasses that commands return, and those nested in their fields."""
+    todo, seen = [SpectralResult, PoincareEstimate, FamilyReport, GeneralisedCertificate], []
+    while todo:
+        item = todo.pop()
+        todo.extend(typing.get_args(item))  # tuple[FamilyRow, ...] -> FamilyRow
+        if dataclasses.is_dataclass(item) and item not in seen:
+            seen.append(item)
+            todo.extend(typing.get_type_hints(item).values())
+    return seen
+
+
+class TestResultVocabulary:
+    def test_every_key_renames_a_rendered_field(self):
+        classes = rendered_dataclasses()
+        assert {c.__name__ for c in classes} == {
+            "SpectralResult",
+            "PoincareEstimate",
+            "FamilyReport",
+            "FamilyRow",
+            "GeneralisedCertificate",
+            "CertificateRow",
+            "TestMapResult",
+        }
+        fields = {f.name for c in classes for f in dataclasses.fields(c)}
+        assert set(cli._KEYS) <= fields
+
+    def test_no_two_fields_share_a_key(self):
+        for c in rendered_dataclasses():
+            keys = [cli._KEYS.get(f.name, f.name) for f in dataclasses.fields(c)]
+            assert len(keys) == len(set(keys)), c.__name__
 
 
 class TestGenerate:

@@ -26,7 +26,7 @@ from mexp.families import (
     probability_counting_measure,
     random_regular,
 )
-from mexp.graphs import hop_distance, measure_of, stats, vertex_boundary
+from mexp.graphs import measure_of, stats, vertex_boundary
 
 
 class TestGenerate:
@@ -41,7 +41,7 @@ class TestGenerate:
     def test_hypercube(self):
         g = generate("hypercube", d=3)
         assert g.n == 8 and all(g.degree(v) == 3 for v in range(8))
-        assert hop_distance(g, 0, 7) == 3
+        assert g.distances[0][7] == 3
 
     def test_random_regular_connected(self):
         g = generate("random_regular", n=10, k=3, seed=7)

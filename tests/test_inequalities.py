@@ -153,7 +153,7 @@ class TestDistanceBound:
             g = walk.graph
             mask = rng.randrange(1, (1 << g.n) - 1)
             a = VertexSubset(g.n, mask)
-            b = a.complement()
+            b = VertexSubset(g.n, ((1 << g.n) - 1) & ~mask)
             assert distance_gap_bound(walk, a, b).holds
             mu_a = sum((walk.mu[v] for v in a.indices()), Fraction(0))
             if 2 * mu_a > walk.total_mu:
