@@ -13,7 +13,8 @@ a skipped member.  Exit codes: 0 on success (including "inequality holds"),
 proved statements), 2 on bad input (a usage error, an unreadable or
 malformed file, an argument outside its domain, or a graph beyond the
 enumeration cap), 3 on any other exception, an internal fault whose
-traceback goes to stderr.  A reader that closes the pipe early ends the
+traceback goes to stderr, 4 when certify tested no map on any member (an
+untested certificate).  A reader that closes the pipe early ends the
 output quietly, with the command's own code.  Each subcommand declares only
 the options its handler reads; randomized commands take an explicit --seed
 and default to 0, and no entropy is drawn from the environment.
@@ -385,7 +386,7 @@ def _cmd_certify(args):
     for row in results["rows"]:
         if row["nu"] is None:  # not asked for, or a skipped member
             del row["nu"]
-    return int(violated), results
+    return (1 if violated else 4 if cert.untested else 0), results
 
 
 def _cmd_generate(args):

@@ -401,6 +401,7 @@ class CertificateRow:
     supported_off_cutoff: bool | None = None
     max_tested_energy: float | None = None
     test_maps: tuple[TestMapResult, ...] = ()
+    untested: bool = True
 
 
 @dataclass(frozen=True)
@@ -413,6 +414,7 @@ class GeneralisedCertificate:
     cheeger_floor: float
     cheeger_sources: tuple[str, ...]
     energy_bound: float
+    untested: bool
 
 
 def generalised_certificate(
@@ -434,7 +436,8 @@ def generalised_certificate(
     Supplied test maps are vectors of coordinates per vertex, n rows of one
     nonzero length; each map is accepted only if it obeys the modulus
     pairwise, and accepted maps are checked against the uniform energy bound
-    8 kappa.
+    8 kappa.  A row with no accepted map (skipped members included) is
+    untested, and so is the certificate when every row is.
 
     Exact and float parts: the pair measure (Fractions), the off-diagonal
     mass (a Fraction) and the symmetric, probability and off-cutoff flags
@@ -524,9 +527,11 @@ def generalised_certificate(
                 supported_off_cutoff=bool(beyond[xs, ys].all()),
                 max_tested_energy=max((t.energy for t in results if t.accepted), default=None),
                 test_maps=tuple(results),
+                untested=not any(t.accepted for t in results),
             )
         )
-    return GeneralisedCertificate(tuple(rows), float(p), kappa, big_k, s_floor, c_floor, tuple(sources), 8.0 * kappa)
+    return GeneralisedCertificate(tuple(rows), float(p), kappa, big_k, s_floor, c_floor, tuple(sources), 8.0 * kappa,
+                                  all(r.untested for r in rows))
 
 
 def _supplied_map(fmap, n: int) -> np.ndarray:

@@ -20,7 +20,8 @@ from .rationals import InputError
 from .walks import ReversibleWalk
 
 _SMOOTHING_EPS = 1e-9
-_GRAD_TOL = 1e-8
+_STALL_WINDOW = 20
+_STALL_RTOL = 1e-12
 
 
 @dataclass(frozen=True)
@@ -29,6 +30,9 @@ class PoincareEstimate:
 
     The estimate always equals the unsmoothed ratio at the reported
     minimizer, so it is an upper bound on the true optimal constant.
+    `converged` means the stall test stopped the search before the
+    iteration cap; `gradient_norm` is the projected gradient norm of the
+    best restart at the final point, and `iterations` the steps taken.
     """
 
     p: float
@@ -70,52 +74,32 @@ def kappa_constant(max_valency: int, s: float, c: float, p: float, rho_plus_at_1
 
 
 def _walk_arrays(walk: ReversibleWalk):
-    edges = walk.graph.edges
-    eu = np.array([u for u, _ in edges], dtype=np.intp)
-    ev = np.array([v for _, v in edges], dtype=np.intp)
-    aw = np.array([float(walk.a[e]) for e in edges])
-    mu = np.array([float(m) for m in walk.mu])
-    pairw = np.outer(mu, mu) / float(walk.total_mu)
-    return eu, ev, aw, pairw
+    """Edge ends, conductances and the pair weights mu(u)mu(v)/mu(V) of a walk."""
+    return _arrays(walk.graph, [walk.a[e] for e in walk.graph.edges], walk.mu, walk.total_mu)
 
 
-def _pair_arrays(graph: MeasuredGraph):
-    edges = graph.edges
-    eu = np.array([u for u, _ in edges], dtype=np.intp)
-    ev = np.array([v for _, v in edges], dtype=np.intp)
-    aw = np.array([float(graph.measure[u] + graph.measure[v]) for u, v in edges])
-    m = np.array([float(x) for x in graph.measure])
-    pairw = np.outer(m, m) / float(graph.total_measure)
-    return eu, ev, aw, pairw
+def _arrays(graph: MeasuredGraph, edge_weights, weights, total):
+    eu = np.array([u for u, _ in graph.edges], dtype=np.intp)
+    ev = np.array([v for _, v in graph.edges], dtype=np.intp)
+    w = np.array([float(x) for x in weights])
+    return eu, ev, np.array([float(x) for x in edge_weights]), np.outer(w, w) / float(total)
 
 
 def _energies(eu, ev, aw, pairw, F: np.ndarray, p: float, eps: float = 0.0):
     """Ordered-pair edge energy and pair energy for a batch F of row vectors."""
-    d = F[:, eu] - F[:, ev]
-    if eps > 0.0:
-        mag = np.sqrt(d * d + eps * eps)
-    else:
-        mag = np.abs(d)
-    edge = 2.0 * (aw * mag ** p).sum(axis=1)
-    diff = F[:, :, None] - F[:, None, :]
-    if eps > 0.0:
-        mag2 = np.sqrt(diff * diff + eps * eps)
-    else:
-        mag2 = np.abs(diff)
-    pair = (pairw * mag2 ** p).sum(axis=(1, 2))
+    edge = 2.0 * (aw * _magnitude(F[:, eu] - F[:, ev], eps) ** p).sum(axis=1)
+    pair = (pairw * _magnitude(F[:, :, None] - F[:, None, :], eps) ** p).sum(axis=(1, 2))
     return edge, pair
+
+
+def _magnitude(x: np.ndarray, eps: float) -> np.ndarray:
+    """|x|, or its smoothing sqrt(x^2 + eps^2) when eps > 0."""
+    return np.sqrt(x * x + eps * eps) if eps > 0.0 else np.abs(x)
 
 
 def lp_energy_pair(walk: ReversibleWalk, f: Sequence[float], p: float) -> tuple[float, float]:
     """(edge energy, pair energy) of a single function, ordered-pair convention."""
-    if not p >= 1:  # NaN fails too
-        raise InputError("p must be at least 1")
-    vec = np.asarray(f, dtype=float)
-    if vec.shape != (walk.graph.n,):
-        raise InputError(f"function length {vec.shape} does not match {walk.graph.n} vertices")
-    eu, ev, aw, pairw = _walk_arrays(walk)
-    edge, pair = _energies(eu, ev, aw, pairw, vec[None, :], p)
-    return float(edge[0]), float(pair[0])
+    return _function_energies(_walk_arrays(walk), walk.graph.n, f, p)
 
 
 def lp_energy_ratio(walk: ReversibleWalk, f: Sequence[float], p: float) -> float:
@@ -136,20 +120,23 @@ class MeasuredEnergyCheck:
 def measured_lp_check(graph: MeasuredGraph, f: Sequence[float], p: float) -> MeasuredEnergyCheck:
     """Both sides of the measured Lp inequality: edge energy against the pair
     form taken in the vertex measure m (not in the stationary measure)."""
-    if not p >= 1:  # NaN fails too
-        raise InputError("p must be at least 1")
-    for v, m in enumerate(graph.measure):
-        if m == 0:
-            raise InputError(f"vertex {graph.labels[v]!r} has zero measure")
-    vec = np.asarray(f, dtype=float)
-    if vec.shape != (graph.n,):
-        raise InputError(f"function length {vec.shape} does not match {graph.n} vertices")
-    eu, ev, aw, pairw = _pair_arrays(graph)
-    edge, pair = _energies(eu, ev, aw, pairw, vec[None, :], p)
-    lhs, rhs = float(edge[0]), float(pair[0])
+    if 0 in graph.measure:
+        raise InputError(f"vertex {graph.labels[graph.measure.index(0)]!r} has zero measure")
+    aw = [graph.measure[u] + graph.measure[v] for u, v in graph.edges]
+    lhs, rhs = _function_energies(_arrays(graph, aw, graph.measure, graph.total_measure), graph.n, f, p)
     if rhs == 0.0:
         raise InputError("constant function: pair energy vanishes")
     return MeasuredEnergyCheck(lhs=lhs, rhs=rhs, ratio=lhs / rhs)
+
+
+def _function_energies(arrays, n: int, f: Sequence[float], p: float) -> tuple[float, float]:
+    if not p >= 1:  # NaN fails too
+        raise InputError("p must be at least 1")
+    vec = np.asarray(f, dtype=float)
+    if vec.shape != (n,):
+        raise InputError(f"function length {vec.shape} does not match {n} vertices")
+    edge, pair = _energies(*arrays, vec[None, :], p)
+    return float(edge[0]), float(pair[0])
 
 
 # -- optimizer ----------------------------------------------------------------
@@ -166,9 +153,12 @@ def optimal_lp_constant(
 
     All restarts run in lockstep as a batch; steps come from backtracking
     (halve on failure, grow on success).  For p < 2 the optimizer descends a
-    smoothed ratio (|x| ~ sqrt(x^2 + eps^2), eps = 1e-9) but the reported
-    estimate is always the unsmoothed ratio at the final point, which keeps
-    it a true upper bound.  Deterministic given the seed.
+    smoothed ratio (|x| ~ sqrt(x^2 + eps^2), eps = 1e-9).  The search stops
+    when the best (smoothed) ratio over the batch has fallen by at most
+    1e-12 times itself over the last 20 iterations, which reports
+    `converged`, or after max_iters iterations.  The reported estimate is
+    always the unsmoothed ratio at the final point, which keeps it a true
+    upper bound on the optimal constant.  Deterministic given the seed.
     """
     if not p >= 1:  # NaN fails too
         raise InputError("p must be at least 1")
@@ -178,6 +168,10 @@ def optimal_lp_constant(
         raise InputError("need at least one restart")
     n = walk.graph.n
     eu, ev, aw, pairw = _walk_arrays(walk)
+    # the edge part of the ratio gradient is one product t @ incidence
+    vertices = np.arange(n)
+    incidence = (eu[:, None] == vertices).astype(float) - (ev[:, None] == vertices)
+    arrays = (eu, ev, aw, pairw, incidence)
     eps = _SMOOTHING_EPS if p < 2 else 0.0
     rng = random.Random(seed)
     start = np.array([[rng.gauss(0.0, 1.0) for _ in range(n)] for _ in range(restarts)])
@@ -185,15 +179,15 @@ def optimal_lp_constant(
     edge, pair = _energies(eu, ev, aw, pairw, F, p, eps)
     ratio = edge / pair
     eta = np.full(restarts, 0.1)
-    iterations = 0
-    grad_norm = np.full(restarts, np.inf)
-    for iterations in range(1, max_iters + 1):
-        grad = _ratio_gradient(eu, ev, aw, pairw, F, p, eps, edge, pair)
+    history = [ratio.min()]
+    iterations, converged = 0, False
+    while True:
+        grad = _ratio_gradient(arrays, F, p, eps, edge, pair)
         tangent = grad - (grad * F).sum(axis=1, keepdims=True) * F
         tangent = tangent - tangent.mean(axis=1, keepdims=True)
-        grad_norm = np.sqrt((tangent * tangent).sum(axis=1))
-        if (grad_norm < _GRAD_TOL).all():
+        if converged or iterations >= max_iters:
             break
+        iterations += 1
         cand = _project(F - eta[:, None] * tangent)
         cand_edge, cand_pair = _energies(eu, ev, aw, pairw, cand, p, eps)
         cand_ratio = cand_edge / cand_pair
@@ -203,9 +197,9 @@ def optimal_lp_constant(
         edge = np.where(accept, cand_edge, edge)
         pair = np.where(accept, cand_pair, pair)
         eta = np.clip(np.where(accept, eta * 1.25, eta * 0.5), 1e-18, 1e3)
-    grad = _ratio_gradient(eu, ev, aw, pairw, F, p, eps, edge, pair)
-    tangent = grad - (grad * F).sum(axis=1, keepdims=True) * F
-    tangent = tangent - tangent.mean(axis=1, keepdims=True)
+        history.append(ratio.min())
+        fall = history[-1 - _STALL_WINDOW] - history[-1] if iterations >= _STALL_WINDOW else np.inf
+        converged = bool(fall <= _STALL_RTOL * history[-1])
     grad_norm = np.sqrt((tangent * tangent).sum(axis=1))
     final_edge, final_pair = _energies(eu, ev, aw, pairw, F, p, 0.0)
     final_ratio = final_edge / final_pair
@@ -215,7 +209,7 @@ def optimal_lp_constant(
         estimate=float(final_ratio[best]),
         minimizer=tuple(float(x) for x in F[best]),
         restarts=restarts,
-        converged=bool(grad_norm[best] < _GRAD_TOL),
+        converged=converged,
         gradient_norm=float(grad_norm[best]),
         iterations=iterations,
     )
@@ -225,13 +219,14 @@ def _project(F: np.ndarray) -> np.ndarray:
     """Remove the constant component and normalize each row."""
     out = F - F.mean(axis=1, keepdims=True)
     norms = np.sqrt((out * out).sum(axis=1, keepdims=True))
+    bad = norms < 1e-12
+    if not bad.any():
+        return out / norms
     fallback = np.zeros_like(out)
     fallback[:, 0] = 1.0
     fallback = fallback - fallback.mean(axis=1, keepdims=True)
     fallback /= np.sqrt((fallback * fallback).sum(axis=1, keepdims=True))
-    bad = norms < 1e-12
-    out = np.where(bad, fallback, out / np.where(bad, 1.0, norms))
-    return out
+    return np.where(bad, fallback, out / np.where(bad, 1.0, norms))
 
 
 def _phi_prime(x: np.ndarray, p: float, eps: float) -> np.ndarray:
@@ -243,12 +238,11 @@ def _phi_prime(x: np.ndarray, p: float, eps: float) -> np.ndarray:
     return p * np.sign(x) * np.abs(x) ** (p - 1.0)
 
 
-def _ratio_gradient(eu, ev, aw, pairw, F, p, eps, edge, pair):
-    d = F[:, eu] - F[:, ev]
-    t = 2.0 * aw * _phi_prime(d, p, eps)
-    grad_edge = np.zeros_like(F)
-    np.add.at(grad_edge, (slice(None), eu), t)
-    np.subtract.at(grad_edge, (slice(None), ev), t)
+def _ratio_gradient(arrays, F, p, eps, edge, pair):
+    eu, ev, aw, pairw, incidence = arrays
+    t = 2.0 * aw * _phi_prime(F[:, eu] - F[:, ev], p, eps)
+    grad_edge = t @ incidence
     diff = F[:, :, None] - F[:, None, :]
     grad_pair = 2.0 * np.einsum("ruv,uv->ru", _phi_prime(diff, p, eps), pairw)
     return (grad_edge * pair[:, None] - edge[:, None] * grad_pair) / (pair * pair)[:, None]
+

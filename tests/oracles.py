@@ -1,15 +1,19 @@
 """Independent brute-force oracles.
 
 Everything here recomputes quantities straight from their definitions with
-sets, loops, and Fractions; no bitmask tricks, no numpy, no shared code with
-the implementations under test.
+sets, loops, and Fractions; no bitmask tricks, no shared code with the
+implementations under test, and no numpy except in the fixed-budget
+optimizer at the end, a reference copy of the batched gradient loop.
 """
 
 from __future__ import annotations
 
 import itertools
 import math
+import random
 from fractions import Fraction
+
+import numpy as np
 
 
 def subsets(vertices):
@@ -209,3 +213,93 @@ def _modulus_violation(values, dist, rho_plus, p: float):
 def brute_certificate_energy(values, nu, p: float) -> float:
     """sum over the pair measure of |f(x) - f(y)|_p^p nu(x, y), pair by pair."""
     return sum(_lp_distance(values[x], values[y], p) ** p * float(w) for (x, y), w in nu.items())
+
+
+# -- fixed-budget Lp optimizer ---------------------------------------------------
+
+
+def _lp_phi_prime(x, p: float, eps: float):
+    if eps > 0.0:
+        return p * x * (x * x + eps * eps) ** ((p - 2.0) / 2.0)
+    if p == 2.0:
+        return 2.0 * x
+    return p * np.sign(x) * np.abs(x) ** (p - 1.0)
+
+
+def lp_energies(arrays, F, p: float, eps: float):
+    """Edge and pair energy of each row of F (smoothed when eps > 0)."""
+    eu, ev, aw, pairw = arrays
+    d = F[:, eu] - F[:, ev]
+    diff = F[:, :, None] - F[:, None, :]
+    if eps > 0.0:
+        mag, mag2 = np.sqrt(d * d + eps * eps), np.sqrt(diff * diff + eps * eps)
+    else:
+        mag, mag2 = np.abs(d), np.abs(diff)
+    return 2.0 * (aw * mag**p).sum(axis=1), (pairw * mag2**p).sum(axis=(1, 2))
+
+
+def lp_walk_arrays(walk):
+    """Edge ends, conductances and mu(u)mu(v)/mu(V) of a walk as arrays."""
+    edges = walk.graph.edges
+    mu = np.array([float(m) for m in walk.mu])
+    return (
+        np.array([u for u, _ in edges], dtype=np.intp),
+        np.array([v for _, v in edges], dtype=np.intp),
+        np.array([float(walk.a[e]) for e in edges]),
+        np.outer(mu, mu) / float(walk.total_mu),
+    )
+
+
+def lp_ratio_gradient(arrays, F, p: float, eps: float, edge, pair):
+    """Gradient of edge/pair energy for each row of F; the edge part is
+    scattered edge by edge with np.add.at."""
+    eu, ev, aw, pairw = arrays
+    t = 2.0 * aw * _lp_phi_prime(F[:, eu] - F[:, ev], p, eps)
+    grad_edge = np.zeros_like(F)
+    np.add.at(grad_edge, (slice(None), eu), t)
+    np.subtract.at(grad_edge, (slice(None), ev), t)
+    diff = F[:, :, None] - F[:, None, :]
+    grad_pair = 2.0 * np.einsum("ruv,uv->ru", _lp_phi_prime(diff, p, eps), pairw)
+    return (grad_edge * pair[:, None] - edge[:, None] * grad_pair) / (pair * pair)[:, None]
+
+
+def _lp_project(F):
+    out = F - F.mean(axis=1, keepdims=True)
+    norms = np.sqrt((out * out).sum(axis=1, keepdims=True))
+    fallback = np.zeros_like(out)
+    fallback[:, 0] = 1.0
+    fallback = fallback - fallback.mean(axis=1, keepdims=True)
+    fallback /= np.sqrt((fallback * fallback).sum(axis=1, keepdims=True))
+    bad = norms < 1e-12
+    return np.where(bad, fallback, out / np.where(bad, 1.0, norms))
+
+
+def fixed_budget_lp_constant(walk, p: float, restarts: int = 64, seed: int = 0, iters: int = 800):
+    """(estimate, minimizer) after exactly `iters` steps of multi-start
+    projected gradient descent, with no early stop: the same starts, steps,
+    smoothing (eps = 1e-9 for p < 2) and acceptance as mexp's optimizer."""
+    n = walk.graph.n
+    arrays = lp_walk_arrays(walk)
+    eps = 1e-9 if p < 2 else 0.0
+    rng = random.Random(seed)
+    F = _lp_project(np.array([[rng.gauss(0.0, 1.0) for _ in range(n)] for _ in range(restarts)]))
+    edge, pair = lp_energies(arrays, F, p, eps)
+    ratio = edge / pair
+    eta = np.full(restarts, 0.1)
+    for _ in range(iters):
+        grad = lp_ratio_gradient(arrays, F, p, eps, edge, pair)
+        tangent = grad - (grad * F).sum(axis=1, keepdims=True) * F
+        tangent = tangent - tangent.mean(axis=1, keepdims=True)
+        cand = _lp_project(F - eta[:, None] * tangent)
+        cand_edge, cand_pair = lp_energies(arrays, cand, p, eps)
+        cand_ratio = cand_edge / cand_pair
+        accept = np.isfinite(cand_ratio) & (cand_ratio < ratio - 1e-15 * np.abs(ratio))
+        F = np.where(accept[:, None], cand, F)
+        ratio = np.where(accept, cand_ratio, ratio)
+        edge = np.where(accept, cand_edge, edge)
+        pair = np.where(accept, cand_pair, pair)
+        eta = np.clip(np.where(accept, eta * 1.25, eta * 0.5), 1e-18, 1e3)
+    final_edge, final_pair = lp_energies(arrays, F, p, 0.0)
+    final_ratio = final_edge / final_pair
+    best = int(np.argmin(final_ratio))
+    return float(final_ratio[best]), tuple(float(x) for x in F[best])

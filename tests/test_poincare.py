@@ -25,6 +25,7 @@ from mexp import (
     optimal_lp_constant,
 )
 from mexp.families import make_cycle
+from mexp.poincare import _ratio_gradient
 
 
 def k2_walk(a=Fraction(1)):
@@ -204,6 +205,39 @@ class TestOptimizer:
         a = optimal_lp_constant(w, 1.5, restarts=8, seed=42)
         b = optimal_lp_constant(w, 1.5, restarts=8, seed=42)
         assert a.estimate == b.estimate and a.minimizer == b.minimizer
+
+    def test_stall_rule_loses_nothing_against_the_fixed_budget(self):
+        # the full 800-iteration loop is the reference; stopping when the
+        # best ratio stalls may not leave a worse estimate behind
+        rng = random.Random(11)
+        for i in range(4):
+            w = helpers.rand_walk(rng, 3, 8)
+            for p in (1.0, 1.5, 2.0, 3.0):
+                est = optimal_lp_constant(w, p, restarts=16, seed=i)
+                reference, _ = oracles.fixed_budget_lp_constant(w, p, restarts=16, seed=i, iters=800)
+                assert est.estimate <= reference * (1 + 1e-9), (i, p)
+                if p == 2.0:
+                    assert est.converged and est.iterations < 800, (i, est.iterations)
+
+    def test_max_iters_caps_the_search(self):
+        w = helpers.rand_walk(random.Random(12), 6, 9)
+        est = optimal_lp_constant(w, 2.0, restarts=8, seed=1, max_iters=5)
+        assert est.iterations == 5 and est.converged is False
+
+    def test_incidence_gradient_matches_scattered_adds(self):
+        rng = random.Random(13)
+        w = helpers.rand_walk(rng, 9, 12)
+        arrays = oracles.lp_walk_arrays(w)
+        eu, ev, aw, pairw = arrays
+        incidence = np.zeros((len(eu), w.graph.n))
+        incidence[np.arange(len(eu)), eu] += 1.0
+        incidence[np.arange(len(eu)), ev] -= 1.0
+        F = np.array([[rng.gauss(0.0, 1.0) for _ in range(w.graph.n)] for _ in range(64)])
+        for p, eps in ((1.5, 1e-9), (2.0, 0.0), (3.0, 0.0)):
+            edge, pair = oracles.lp_energies(arrays, F, p, eps)
+            got = _ratio_gradient((*arrays, incidence), F, p, eps, edge, pair)
+            want = oracles.lp_ratio_gradient(arrays, F, p, eps, edge, pair)
+            assert np.abs(got - want).max() <= 1e-14 * np.abs(want).max(), p
 
     def test_rejects_bad_input(self):
         with pytest.raises(ValueError):
