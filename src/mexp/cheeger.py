@@ -119,7 +119,7 @@ def cheeger_conductance(
     graph = walk.graph
     _check_cap(graph.n, cap)
     edges = graph.edges
-    weights, _ = scaled_integers([walk.a[e] for e in edges])
+    weights, _ = walk.integer_conductances
     m = walk.mu if constraint is None else [Fraction(x) for x in constraint]
     if len(m) != graph.n:
         raise InputError(f"constraint measure has {len(m)} entries for {graph.n} vertices")

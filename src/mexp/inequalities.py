@@ -6,7 +6,8 @@ floats as lhs <= rhs + tol, an exact rational side (a Cheeger value or a
 bound built from it) being converted to float first.  The slack only ever
 helps a check pass: it excuses float noise, and with it any true violation
 smaller than tol.  Only the coarea verifier decides exactly, comparing its
-level-set identity in rational arithmetic.
+level-set identity in integers over one common denominator.  Both trial
+verifiers need at least one trial.
 """
 
 from __future__ import annotations
@@ -17,9 +18,11 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Sequence
 
+import numpy as np
+
 from .cheeger import DEFAULT_CAP, cheeger_conductance, cheeger_vertex
 from .graphs import MeasuredGraph, VertexSubset, bfs_distances, stats
-from .poincare import cp_formula, lp_energy_ratio
+from .poincare import _energies, _walk_arrays, cp_formula
 from .rationals import InputError, format_rational
 from .spectral import coarea_check, delta_gap, measured_gap
 from .walks import ReversibleWalk, auxiliary_walk
@@ -229,8 +232,14 @@ def verify_poincare_to_cheeger(
     )
 
 
+def _check_trials(trials: int):
+    if trials < 1:
+        raise InputError(f"need at least one trial, got {trials}")
+
+
 def verify_coarea(walk: ReversibleWalk, trials: int = 100, seed: int = 0) -> InequalityReport:
     """Exact level-set identity on seeded random nonnegative rational functions."""
+    _check_trials(trials)
     rng = random.Random(seed)
     mismatches = 0
     for _ in range(trials):
@@ -262,16 +271,15 @@ def verify_lp_poincare(
     tol: float = DEFAULT_TOLERANCE,
 ) -> InequalityReport:
     """Every random test function satisfies energy ratio >= c_p(cheeger, p)."""
+    _check_trials(trials)
     c = cheeger_conductance(walk, constraint=walk.mu, cap=cap).value
     floor = cp_formula(float(c), p)
     rng = random.Random(seed)
-    worst = math.inf
     n = walk.graph.n
-    for _ in range(trials):
-        f = [rng.gauss(0.0, 1.0) for _ in range(n)]
-        if max(f) == min(f):
-            continue
-        worst = min(worst, lp_energy_ratio(walk, f, p))
+    draws = ([rng.gauss(0.0, 1.0) for _ in range(n)] for _ in range(trials))
+    rows = np.array([f for f in draws if max(f) != min(f)]).reshape(-1, n)
+    edge, pair = _energies(*_walk_arrays(walk), rows, p)
+    worst = float((edge / pair).min(initial=math.inf))
     checks = (_check("c_p <= min energy ratio", floor, worst, tol),)
     return _report(
         "lp-poincare",

@@ -62,4 +62,4 @@ def scaled_integers(values) -> tuple[list[int], int]:
     """
     values = [Fraction(v) for v in values]
     scale = math.lcm(*(v.denominator for v in values))
-    return [int(v * scale) for v in values], scale
+    return [v.numerator * (scale // v.denominator) for v in values], scale

@@ -18,8 +18,8 @@ L[u,v] = -w(u,v) and L[u,u] = sum_v w(u,v).
 
 The pencil is reduced by D^(-1/2) conjugation and diagonalized with LAPACK's
 symmetric eigensolver (numpy.linalg.eigh).  Float conversion of the rational
-inputs happens exactly once, here; the co-area check below stays fully
-rational.
+inputs happens exactly once, here; the co-area check below stays exact, in
+integers over one common denominator.
 """
 
 from __future__ import annotations
@@ -31,7 +31,7 @@ from typing import Sequence
 import numpy as np
 
 from .graphs import MeasuredGraph
-from .rationals import InputError
+from .rationals import InputError, scaled_integers
 from .walks import ReversibleWalk
 
 
@@ -134,7 +134,7 @@ class CoareaReport:
     direct      sum over edges of |f(u)^2 - f(v)^2| * a(u,v)
     level_sum   sum over level sets L_i = {f >= beta_i} of
                 a(cut L_i) * (beta_i^2 - beta_{i-1}^2)
-    equal       exact rational comparison; always True
+    equal       exact comparison of the two integer numerators; always True
     """
 
     direct: Fraction
@@ -143,27 +143,31 @@ class CoareaReport:
 
 
 def coarea_check(walk: ReversibleWalk, f: Sequence) -> CoareaReport:
-    """Verify the level-set decomposition for a nonnegative rational function."""
-    values = [Fraction(x) for x in f]
-    if len(values) != walk.graph.n:
-        raise InputError(f"function has {len(values)} entries for {walk.graph.n} vertices")
-    for v, x in enumerate(values):
+    """Verify the level-set decomposition for a nonnegative rational function.
+
+    Both sides are exact integers over one common denominator q^2 * scale,
+    with f = F/q (q the lcm of f's denominators) and a = A/scale
+    (walk.integer_conductances).  Each level set's cut is summed edge by
+    edge on its own, so the comparison is not vacuous.
+    """
+    big_f, q = scaled_integers(f)
+    if len(big_f) != walk.graph.n:
+        raise InputError(f"function has {len(big_f)} entries for {walk.graph.n} vertices")
+    for v, x in enumerate(big_f):
         if x < 0:
-            raise InputError(f"entry {v} is negative ({x}); the identity needs f >= 0")
-    direct = Fraction(0)
-    for (u, v), a in walk.a.items():
-        direct += abs(values[u] ** 2 - values[v] ** 2) * a
-    betas = sorted(set(values))
-    level_sum = Fraction(0)
-    for i in range(1, len(betas)):
-        cut = Fraction(0)
-        for (u, v), a in walk.a.items():
-            inside_u = values[u] >= betas[i]
-            inside_v = values[v] >= betas[i]
-            if inside_u != inside_v:
-                cut += a
-        level_sum += cut * (betas[i] ** 2 - betas[i - 1] ** 2)
-    return CoareaReport(direct=direct, level_sum=level_sum, equal=direct == level_sum)
+            raise InputError(f"entry {v} is negative ({Fraction(x, q)}); the identity needs f >= 0")
+    weights, scale = walk.integer_conductances
+    edges = list(zip(walk.graph.edges, weights))
+    direct = sum(abs(big_f[u] ** 2 - big_f[v] ** 2) * a for (u, v), a in edges)
+    betas = sorted(set(big_f))
+    level_sum = sum(_level_cut(edges, big_f, hi) * (hi * hi - lo * lo) for lo, hi in zip(betas, betas[1:]))
+    den = q * q * scale
+    return CoareaReport(Fraction(direct, den), Fraction(level_sum, den), direct == level_sum)
+
+
+def _level_cut(edges, values, level: int) -> int:
+    """Weight of the edges with exactly one end in the level set {values >= level}."""
+    return sum(a for (u, v), a in edges if (values[u] >= level) != (values[v] >= level))
 
 
 def delta_gap(walk: ReversibleWalk) -> float:

@@ -15,7 +15,7 @@ from typing import Mapping
 
 from .cheeger import DEFAULT_CAP, cheeger_conductance, cheeger_vertex
 from .graphs import GraphStats, MeasuredGraph, stats
-from .rationals import InputError
+from .rationals import InputError, scaled_integers
 
 
 class WalkError(InputError):
@@ -45,6 +45,12 @@ class ReversibleWalk:
     @cached_property
     def total_mu(self) -> Fraction:
         return sum(self.mu, Fraction(0))
+
+    @cached_property
+    def integer_conductances(self) -> tuple[tuple[int, ...], int]:
+        """(A, scale): a(e) == A[i] / scale for the i-th edge e of graph.edges."""
+        scaled, scale = scaled_integers([self.a[e] for e in self.graph.edges])
+        return tuple(scaled), scale
 
     @cached_property
     def total_a(self) -> Fraction:

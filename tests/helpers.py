@@ -30,6 +30,31 @@ def rand_walk(rng: random.Random, n_lo=3, n_hi=12, auxiliary_of_random_measure=F
     return from_conductance(graph, random_conductance(graph, rng))
 
 
+# Mersenne primes 2^k - 1 and eight more primes from 998244353 up to 10^30 + 57
+LARGE_PRIMES = tuple((1 << k) - 1 for k in (31, 61, 89, 107, 127, 521, 607, 1279)) + (
+    998_244_353,
+    1_000_000_007,
+    1_000_000_009,
+    4_294_967_291,
+    1_000_000_000_039,
+    18_446_744_073_709_551_557,
+    (1 << 127) + 45,
+    10**30 + 57,
+)
+
+
+def bigint_walk(rng: random.Random, n_lo=3, n_hi=6):
+    """Walk whose conductances have distinct large prime denominators, built
+    from a dict whose keys are shuffled and partly reversed, so that its
+    order differs from graph.edges."""
+    graph = rand_connected(rng, n_lo, n_hi)
+    dens = rng.sample(LARGE_PRIMES, len(graph.edges))
+    keys = [(v, u) if rng.random() < 0.5 else (u, v) for u, v in graph.edges]
+    conductance = {key: Fraction(rng.randrange(1, 1 << 80), d) for key, d in zip(keys, dens)}
+    rng.shuffle(keys)
+    return from_conductance(graph, {key: conductance[key] for key in keys})
+
+
 def rand_sparse_measure(rng: random.Random, n: int, zero_prob=0.35):
     """Nonnegative measure with some zeroed vertices, never all zero."""
     while True:

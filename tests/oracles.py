@@ -2,8 +2,9 @@
 
 Everything here recomputes quantities straight from their definitions with
 sets, loops, and Fractions; no bitmask tricks, no shared code with the
-implementations under test, and no numpy except in the fixed-budget
-optimizer at the end, a reference copy of the batched gradient loop.
+implementations under test, and no numpy except in the per-trial Lp
+Poincare loop and the fixed-budget optimizer at the end, a reference copy
+of the batched gradient loop.
 """
 
 from __future__ import annotations
@@ -175,6 +176,24 @@ def cycle_eigenvector(n: int, mode: int):
     return [math.cos(2.0 * math.pi * mode * j / n) for j in range(n)]
 
 
+def coarea_sides(walk, f):
+    """(direct, level_sum) of the level-set identity in Fractions: direct edge
+    by edge over walk.a, level_sum one level set {f >= beta_i} at a time."""
+    values = [Fraction(x) for x in f]
+    direct = Fraction(0)
+    for (u, v), a in walk.a.items():
+        direct += abs(values[u] ** 2 - values[v] ** 2) * a
+    betas = sorted(set(values))
+    level_sum = Fraction(0)
+    for i in range(1, len(betas)):
+        cut = Fraction(0)
+        for (u, v), a in walk.a.items():
+            if (values[u] >= betas[i]) != (values[v] >= betas[i]):
+                cut += a
+        level_sum += cut * (betas[i] ** 2 - betas[i - 1] ** 2)
+    return direct, level_sum
+
+
 def brute_edge_energy(walk, f, p: float) -> float:
     """Ordered-pair edge energy by explicit loops over both orientations."""
     total = 0.0
@@ -303,3 +322,19 @@ def fixed_budget_lp_constant(walk, p: float, restarts: int = 64, seed: int = 0, 
     final_ratio = final_edge / final_pair
     best = int(np.argmin(final_ratio))
     return float(final_ratio[best]), tuple(float(x) for x in F[best])
+
+
+def per_trial_lp_poincare(walk, p: float, floor: float, trials: int, seed: int, tol: float = 1e-8):
+    """(min energy ratio, holds) of the Lp Poincare check one trial at a
+    time: rows of seeded gaussians drawn in order, constant rows skipped,
+    holds meaning floor <= min ratio + tol."""
+    arrays = lp_walk_arrays(walk)
+    rng = random.Random(seed)
+    worst = math.inf
+    for _ in range(trials):
+        f = [rng.gauss(0.0, 1.0) for _ in range(walk.graph.n)]
+        if max(f) == min(f):
+            continue
+        edge, pair = lp_energies(arrays, np.array([f]), p, 0.0)
+        worst = min(worst, float(edge[0]) / float(pair[0]))
+    return worst, floor <= worst + tol

@@ -217,6 +217,13 @@ class TestVerifyCommand:
         code, out, err = run(capsys, "verify", "--input", c6_file, "--theorem", "lp-poincare", "--trials", "5", *option)
         assert code == 2 and out == "" and err
 
+    @pytest.mark.parametrize("theorem", ["coarea", "lp-poincare"])
+    @pytest.mark.parametrize("trials", ["0", "-3"])
+    def test_no_trials_exits_two(self, capsys, c6_file, theorem, trials):
+        # a verifier with no trials tested nothing and used to report holds
+        code, out, err = run(capsys, "verify", "--input", c6_file, "--theorem", theorem, "--trials", trials)
+        assert code == 2 and out == "" and "at least one trial" in err
+
     def test_coarea_runs_clean(self, capsys, c6_file):
         code, out, _ = run(capsys, "verify", "--input", c6_file, "--theorem", "coarea", "--trials", "25")
         assert code == 0

@@ -4,7 +4,9 @@ from fractions import Fraction
 import pytest
 
 import helpers
+import oracles
 from mexp import (
+    InputError,
     MeasuredGraph,
     VertexSubset,
     auxiliary_walk,
@@ -22,6 +24,8 @@ from mexp import (
 )
 from mexp.graphs import diameter
 from mexp.families import make_cycle
+from mexp.poincare import cp_formula
+from mexp.rationals import format_rational
 
 
 def k2():
@@ -226,3 +230,46 @@ class TestSuiteVerifiers:
         report = verify_measured_sandwich(make_cycle(5))
         text = json.dumps(report.as_dict())
         assert "measured-sandwich" in text
+
+
+class TestTrialVerifiers:
+    @pytest.mark.parametrize("trials", [0, -3])
+    def test_no_trials_is_bad_input(self, trials):
+        walk = auxiliary_walk(make_cycle(6))
+        with pytest.raises(InputError, match="at least one trial"):
+            verify_coarea(walk, trials=trials)
+        with pytest.raises(InputError, match="at least one trial"):
+            verify_lp_poincare(walk, 2.0, trials=trials)
+
+    def test_lp_batch_matches_per_trial_loop(self):
+        rng = random.Random(90)
+        for i in range(110):
+            walk = helpers.rand_walk(rng, 3, 8)
+            c = oracles.brute_cheeger_conductance(walk, walk.mu)
+            for p in (1.0, 1.5, 2.0, 3.0):
+                report = verify_lp_poincare(walk, p, trials=100, seed=i)
+                worst, holds = oracles.per_trial_lp_poincare(walk, p, cp_formula(float(c), p), 100, i)
+                assert report.inputs["cheeger"] == format_rational(c)
+                assert float(report.inputs["min_ratio"]) == pytest.approx(worst, rel=1e-15, abs=0)
+                assert report.holds == holds
+
+    def test_constant_rows_are_dropped(self, monkeypatch):
+        # a coarse rng makes whole rows constant; they have no pair energy
+        class Coarse(random.Random):
+            def gauss(self, mu=0.0, sigma=1.0):
+                return float(self.randrange(2))
+
+        monkeypatch.setattr(random, "Random", Coarse)
+        rng = Coarse(91)
+        constant = 0
+        for i in range(20):
+            walk = helpers.rand_walk(rng, 2, 3)
+            report = verify_lp_poincare(walk, 2.0, trials=8, seed=i)
+            draws = Coarse(i)
+            rows = [[draws.gauss() for _ in range(walk.graph.n)] for _ in range(8)]
+            constant += sum(max(f) == min(f) for f in rows)
+            floor = float(report.inputs["c_p"])
+            worst, holds = oracles.per_trial_lp_poincare(walk, 2.0, floor, 8, i)
+            assert float(report.inputs["min_ratio"]) == pytest.approx(worst, rel=1e-15, abs=0)
+            assert report.holds == holds
+        assert constant >= 20

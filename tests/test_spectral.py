@@ -260,6 +260,25 @@ class TestPairIdentity:
             assert pair == pytest.approx(direct, rel=1e-10, abs=1e-12)
 
 
+def _coarea_inputs():
+    """(walk, f) pairs: small rationals, bigint conductances, float entries,
+    constant functions and functions with a single nonzero level."""
+    rng = random.Random(2024)
+    cases = []
+    for _ in range(40):
+        walk = helpers.rand_walk(rng, 2, 10)
+        cases.append((walk, [Fraction(rng.randrange(0, 12), rng.randrange(1, 9)) for _ in range(walk.graph.n)]))
+    for _ in range(15):
+        walk = helpers.bigint_walk(rng)
+        n = walk.graph.n
+        cases.append((walk, [Fraction(rng.randrange(0, 1 << 40), rng.choice(helpers.LARGE_PRIMES)) for _ in range(n)]))
+        cases.append((walk, [rng.random() for _ in range(n)]))
+        cases.append((walk, [Fraction(rng.randrange(1, 99), rng.randrange(1, 99))] * n))
+        level = rng.random()
+        cases.append((walk, [level if rng.random() < 0.5 else 0 for _ in range(n)]))
+    return cases
+
+
 class TestCoarea:
     def test_square_cycle_indicator(self):
         g = make_cycle(4)
@@ -286,3 +305,41 @@ class TestCoarea:
         report = coarea_check(walk, f)
         assert report.equal
         assert report.direct == report.level_sum
+
+    def test_sides_equal_fraction_reference(self):
+        floats = singles = constants = 0
+        for walk, f in _coarea_inputs():
+            report = coarea_check(walk, f)
+            assert isinstance(report.direct, Fraction) and isinstance(report.level_sum, Fraction)
+            assert (report.direct, report.level_sum) == oracles.coarea_sides(walk, f)
+            assert report.equal
+            levels = set(f) - {0}
+            floats += isinstance(f[0], float) and max(Fraction(x).denominator for x in f) >= 1 << 52
+            singles += len(levels) == 1 and 0 in f
+            constants += len(set(f)) == 1
+        assert floats >= 10 and singles >= 5 and constants >= 15
+
+    def test_three_levels_by_hand(self):
+        # the 4-cycle 0-1-2-3-0 with conductances 1, 2, 3, 1/2 and f = (0, 1/2, 3/2, 1),
+        # so 2f = (0, 1, 3, 2): direct = (1/4)(1*1 + 2*8 + 3*5 + (1/2)*4) = 17/2, the level sets
+        # {f >= 1/2}, {f >= 1}, {f >= 3/2} cut 3/2, 5/2 and 5, weighted by
+        # 1/4, 3/4 and 5/4: 3/8 + 15/8 + 25/4 = 17/2
+        graph = MeasuredGraph.build(4, [(0, 1), (1, 2), (2, 3), (0, 3)], [1, 1, 1, 1])
+        a = {(0, 1): 1, (1, 2): 2, (2, 3): 3, (0, 3): Fraction(1, 2)}
+        report = coarea_check(from_conductance(graph, a), [0, Fraction(1, 2), Fraction(3, 2), 1])
+        assert report.direct == Fraction(17, 2)
+        assert report.level_sum == Fraction(17, 2)
+        assert report.equal
+
+    def test_level_sum_counts_every_cut(self, monkeypatch):
+        # the identity always holds, so only a wrong cut can show that
+        # level_sum is summed from its own level sets and not from direct
+        import mexp.spectral
+
+        cut = mexp.spectral._level_cut
+        monkeypatch.setattr(mexp.spectral, "_level_cut", lambda edges, values, level: cut(edges, values, level) + 1)
+        report = coarea_check(auxiliary_walk(make_cycle(5)), [0, 1, 2, 1, 0])
+        # conductance 2 on every edge; levels 1 and 2 weigh 1 and 3
+        assert report.direct == 16
+        assert report.level_sum == 16 + 1 + 3
+        assert not report.equal

@@ -1,3 +1,4 @@
+import math
 import random
 from fractions import Fraction
 
@@ -9,6 +10,7 @@ from mexp import (
     MeasuredGraph,
     WalkError,
     auxiliary_walk,
+    cheeger_conductance,
     from_conductance,
     heat_kernel_measure,
     verify_auxiliary_walk,
@@ -68,6 +70,34 @@ class TestFromConductance:
             for u in range(g.n):
                 assert sum((w.r(u, v) for v in g.neighbors[u]), Fraction(0)) == 1
             assert set(w.a) == set(g.edges)
+
+
+def _digest_and_bigint_walks():
+    """Builders of the ACCEPT-11 sandwich digest walks and of bigint walks."""
+    builders = [
+        lambda i=i: helpers.rand_walk(random.Random(10_000 + i), 3, 12, auxiliary_of_random_measure=True)
+        for i in range(25)
+    ]
+    return builders + [lambda i=i: helpers.bigint_walk(random.Random(500 + i)) for i in range(5)]
+
+
+class TestIntegerConductances:
+    def test_scaled_conductance_in_edge_order(self):
+        for build in _digest_and_bigint_walks():
+            walk = build()
+            weights, scale = walk.integer_conductances
+            assert [Fraction(w, scale) for w in weights] == [walk.a[e] for e in walk.graph.edges]
+            assert scale == math.lcm(*(a.denominator for a in walk.a.values()))
+
+    def test_cached_read_changes_no_certificate(self):
+        for build in _digest_and_bigint_walks():
+            fresh, read = build(), build()
+            read.integer_conductances
+            expected, got = cheeger_conductance(fresh), cheeger_conductance(read)
+            assert (got.value, got.witness.mask) == (expected.value, expected.witness.mask)
+            # and the certificate is the exact optimum
+            value, witnesses = oracles.brute_conductance_minimizers(fresh, fresh.mu)
+            assert got.value == value and got.witness.mask == oracles.smallest_mask(witnesses)
 
 
 class TestAuxiliaryWalk:
