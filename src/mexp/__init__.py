@@ -44,9 +44,11 @@ from .graphs import (
     vertex_boundary,
 )
 from .inequalities import (
+    AuxiliaryWalkReport,
     BoundCheck,
     InequalityReport,
     distance_gap_bound,
+    verify_auxiliary_walk,
     verify_cheeger_sandwich,
     verify_coarea,
     verify_gap_controls,
@@ -77,11 +79,9 @@ from .spectral import (
     spectrum,
 )
 from .walks import (
-    AuxiliaryWalkReport,
     ReversibleWalk,
     WalkError,
     auxiliary_walk,
     from_conductance,
     heat_kernel_measure,
-    verify_auxiliary_walk,
 )

@@ -35,21 +35,19 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import TYPE_CHECKING, Sequence
+from typing import Sequence
 
 import numpy as np
 
 from .graphs import MeasuredGraph, VertexSubset, diameter
 from .rationals import InputError, scaled_integers
-
-if TYPE_CHECKING:  # pragma: no cover
-    from .walks import ReversibleWalk
+from .walks import ReversibleWalk
 
 DEFAULT_CAP = 22
 _BLOCK_BITS = 16
 
 
-class ExactModeInfeasible(RuntimeError):
+class ExactModeInfeasible(InputError):
     """The vertex count exceeds the exact-enumeration cap."""
 
 
@@ -110,7 +108,7 @@ def cheeger_vertex(graph: MeasuredGraph, cap: int = DEFAULT_CAP) -> CheegerCerti
 
 
 def cheeger_conductance(
-    walk: "ReversibleWalk",
+    walk: ReversibleWalk,
     constraint: Sequence[Fraction] | None = None,
     cap: int = DEFAULT_CAP,
 ) -> CheegerCertificate:

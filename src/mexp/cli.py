@@ -36,7 +36,7 @@ from fractions import Fraction
 from pathlib import Path
 
 from . import __version__
-from .cheeger import DEFAULT_CAP, ExactModeInfeasible, cheeger_conductance, cheeger_vertex
+from .cheeger import DEFAULT_CAP, cheeger_conductance, cheeger_vertex
 from .families import (
     GraphFamily,
     RhoTable,
@@ -59,7 +59,7 @@ from .rationals import InputError, format_rational, parse_rational
 from .spectral import delta_operator, lambda_operator, spectrum
 from .walks import auxiliary_walk, from_conductance
 
-_USAGE_ERRORS = (InputError, ExactModeInfeasible, OSError)
+_USAGE_ERRORS = (InputError, OSError)
 
 
 def main(argv=None) -> int:

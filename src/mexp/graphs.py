@@ -13,7 +13,7 @@ from __future__ import annotations
 import json
 import math
 from collections import deque
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
 from typing import Iterable, Sequence
@@ -86,11 +86,7 @@ class MeasuredGraph:
     n: int
     neighbors: tuple[tuple[int, ...], ...]
     measure: tuple[Fraction, ...]
-    labels: tuple = field(default=())
-
-    def __post_init__(self):
-        if not self.labels:
-            object.__setattr__(self, "labels", tuple(range(self.n)))
+    labels: tuple
 
     @classmethod
     def build(cls, n: int, edges: Iterable[tuple[int, int]], measure: Sequence, labels=None) -> "MeasuredGraph":

@@ -5,9 +5,10 @@ reports a verdict.  Tolerance policy: every bound lhs <= rhs is decided in
 floats as lhs <= rhs + tol, an exact rational side (a Cheeger value or a
 bound built from it) being converted to float first.  The slack only ever
 helps a check pass: it excuses float noise, and with it any true violation
-smaller than tol.  Only the coarea verifier decides exactly, comparing its
-level-set identity in integers over one common denominator.  Both trial
-verifiers need at least one trial.
+smaller than tol.  Two verifiers decide exactly: coarea compares its
+level-set identity in integers over one common denominator, and the
+auxiliary-walk verifier compares rationals only.  Both trial verifiers need
+at least one trial.
 """
 
 from __future__ import annotations
@@ -21,7 +22,7 @@ from typing import Sequence
 import numpy as np
 
 from .cheeger import DEFAULT_CAP, cheeger_conductance, cheeger_vertex
-from .graphs import MeasuredGraph, VertexSubset, bfs_distances, stats
+from .graphs import GraphStats, MeasuredGraph, VertexSubset, bfs_distances, stats
 from .poincare import _energies, _walk_arrays, cp_formula
 from .rationals import InputError, format_rational
 from .spectral import coarea_check, delta_gap, measured_gap
@@ -79,6 +80,14 @@ def _report(name: str, checks: Sequence[BoundCheck], inputs: dict) -> Inequality
     )
 
 
+def _ratio_data(graph: MeasuredGraph) -> tuple[Fraction, int]:
+    """The measure-ratio bound s and the valency bound K of a graph."""
+    st = stats(graph)
+    if st.ratio_bound is None:
+        raise InputError("measure-ratio bound undefined: measure lacks full support")
+    return st.ratio_bound, st.max_valency
+
+
 def verify_cheeger_sandwich(
     walk: ReversibleWalk, cap: int = DEFAULT_CAP, tol: float = DEFAULT_TOLERANCE
 ) -> InequalityReport:
@@ -107,10 +116,7 @@ def verify_measured_sandwich(
     graph: MeasuredGraph, cap: int = DEFAULT_CAP, tol: float = DEFAULT_TOLERANCE
 ) -> InequalityReport:
     """c^2 s^3 (1+s) / (2 K^3) <= gap <= 2 (1+s) K c / s for a full-support graph."""
-    st = stats(graph)
-    if st.ratio_bound is None:
-        raise InputError("measure-ratio bound undefined: measure lacks full support")
-    s, big_k = st.ratio_bound, st.max_valency
+    s, big_k = _ratio_data(graph)
     cert = cheeger_vertex(graph, cap=cap)
     c = cert.value
     gap = measured_gap(graph)
@@ -137,10 +143,7 @@ def verify_measured_sandwich(
 def verify_gap_controls(graph: MeasuredGraph, tol: float = DEFAULT_TOLERANCE) -> InequalityReport:
     """s(1+s)/K * gap' <= gap <= K^2 (1+s)/s^2 * gap', relating the measured
     gap to the auxiliary walk's Laplacian gap."""
-    st = stats(graph)
-    if st.ratio_bound is None:
-        raise InputError("measure-ratio bound undefined: measure lacks full support")
-    s, big_k = st.ratio_bound, st.max_valency
+    s, big_k = _ratio_data(graph)
     gap = measured_gap(graph)
     aux_gap = delta_gap(auxiliary_walk(graph))
     lower = float(s * (1 + s) / big_k) * aux_gap
@@ -181,13 +184,11 @@ def distance_gap_bound(
     rho = min(dist[v] for v in set_b.indices())
     mu_a = sum((walk.mu[v] for v in set_a.indices()), Fraction(0))
     mu_b = sum((walk.mu[v] for v in set_b.indices()), Fraction(0))
-    internal_a = walk.area(
-        e for e in graph.edges if e[0] in set_a and e[1] in set_a
+    between = sum(
+        (a for (u, v), a in walk.a.items() if not (u in set_a and v in set_a or u in set_b and v in set_b)),
+        Fraction(0),
     )
-    internal_b = walk.area(
-        e for e in graph.edges if e[0] in set_b and e[1] in set_b
-    )
-    rhs = (1 / mu_a + 1 / mu_b) * (walk.total_a - internal_a - internal_b)
+    rhs = (1 / mu_a + 1 / mu_b) * between
     gap = delta_gap(walk)
     lhs = gap * rho * rho
     checks = (_check("gap * d(A,B)^2 <= (1/mu(A)+1/mu(B)) a(E - E_A - E_B)", lhs, float(rhs), tol),)
@@ -210,10 +211,7 @@ def verify_poincare_to_cheeger(
     graph: MeasuredGraph, cap: int = DEFAULT_CAP, tol: float = DEFAULT_TOLERANCE
 ) -> InequalityReport:
     """cheeger >= s * gap / (2 (1+s) K) for a full-support measured graph."""
-    st = stats(graph)
-    if st.ratio_bound is None:
-        raise InputError("measure-ratio bound undefined: measure lacks full support")
-    s, big_k = st.ratio_bound, st.max_valency
+    s, big_k = _ratio_data(graph)
     c = cheeger_vertex(graph, cap=cap).value
     gap = measured_gap(graph)
     floor = float(s / (2 * (1 + s) * big_k)) * gap
@@ -232,6 +230,66 @@ def verify_poincare_to_cheeger(
     )
 
 
+@dataclass(frozen=True)
+class AuxiliaryWalkReport:
+    """Exact verification of the defining and derived properties of the
+    auxiliary walk on a bounded-ratio measured graph.
+
+    conductance_matches   a(u,v) = m(u) + m(v) on every edge
+    support_matches       r(u,v) > 0 exactly on edges
+    measure_sandwich      s/(K(1+s)) mu(u) <= m(u) <= mu(u)/(1+s) for all u
+    cheeger_bound_holds   conductance Cheeger constant >= c s / K
+    """
+
+    conductance_matches: bool
+    support_matches: bool
+    measure_sandwich: bool
+    cheeger_bound_holds: bool
+    conductance_cheeger: Fraction
+    cheeger_floor: Fraction
+    vertex_cheeger: Fraction
+    graph_stats: GraphStats
+
+    @property
+    def all_hold(self) -> bool:
+        return (
+            self.conductance_matches
+            and self.support_matches
+            and self.measure_sandwich
+            and self.cheeger_bound_holds
+        )
+
+
+def verify_auxiliary_walk(graph: MeasuredGraph, cap: int = DEFAULT_CAP) -> AuxiliaryWalkReport:
+    """Check the four auxiliary-walk conditions in exact rational arithmetic."""
+    walk = auxiliary_walk(graph)  # refuses a measure without full support, so s is defined
+    st = stats(graph)
+    s, big_k = st.ratio_bound, st.max_valency
+
+    conductance_matches = all(
+        walk.a[(u, v)] == graph.measure[u] + graph.measure[v] for u, v in graph.edges
+    )
+    support_matches = set(walk.a) == set(graph.edges) and all(v > 0 for v in walk.a.values())
+    lo = s / (big_k * (1 + s))
+    hi = Fraction(1, 1) / (1 + s)
+    measure_sandwich = all(
+        lo * walk.mu[u] <= graph.measure[u] <= hi * walk.mu[u] for u in range(graph.n)
+    )
+    vertex_cert = cheeger_vertex(graph, cap=cap)
+    cond_cert = cheeger_conductance(walk, graph.measure, cap=cap)
+    floor = vertex_cert.value * s / big_k
+    return AuxiliaryWalkReport(
+        conductance_matches=conductance_matches,
+        support_matches=support_matches,
+        measure_sandwich=measure_sandwich,
+        cheeger_bound_holds=cond_cert.value >= floor,
+        conductance_cheeger=cond_cert.value,
+        cheeger_floor=floor,
+        vertex_cheeger=vertex_cert.value,
+        graph_stats=st,
+    )
+
+
 def _check_trials(trials: int):
     if trials < 1:
         raise InputError(f"need at least one trial, got {trials}")
@@ -246,15 +304,7 @@ def verify_coarea(walk: ReversibleWalk, trials: int = 100, seed: int = 0) -> Ine
         f = [Fraction(rng.randrange(0, 16), rng.randrange(1, 8)) for _ in range(walk.graph.n)]
         if not coarea_check(walk, f).equal:
             mismatches += 1
-    checks = (
-        BoundCheck(
-            label="level-set identity mismatches == 0",
-            lhs=float(mismatches),
-            rhs=0.0,
-            slack=-float(mismatches),
-            holds=mismatches == 0,
-        ),
-    )
+    checks = (_check("level-set identity mismatches == 0", float(mismatches), 0.0, 0.0),)
     return _report(
         "coarea",
         checks,

@@ -3,7 +3,9 @@
 A walk is stored by its symmetric positive edge conductance a; the stationary
 measure mu(u) = sum_v a(u,v) and the kernel r(u,v) = a(u,v)/mu(u) are derived
 views.  Detailed balance mu(u) r(u,v) = a(u,v) = a(v,u) = mu(v) r(v,u) and
-unit row sums then hold identically in rational arithmetic.
+unit row sums then hold identically in rational arithmetic.  This module
+holds the walk's data and its constructors only; the checks on it, the
+auxiliary-walk conditions included, live in inequalities.py.
 """
 
 from __future__ import annotations
@@ -13,8 +15,7 @@ from fractions import Fraction
 from functools import cached_property
 from typing import Mapping
 
-from .cheeger import DEFAULT_CAP, cheeger_conductance, cheeger_vertex
-from .graphs import GraphStats, MeasuredGraph, stats
+from .graphs import MeasuredGraph
 from .rationals import InputError, scaled_integers
 
 
@@ -34,13 +35,9 @@ class ReversibleWalk:
     a: Mapping[tuple[int, int], Fraction]
     mu: tuple[Fraction, ...]
 
-    def conductance(self, u: int, v: int) -> Fraction:
-        key = (u, v) if u < v else (v, u)
-        return self.a.get(key, Fraction(0))
-
     def r(self, u: int, v: int) -> Fraction:
-        """Transition kernel r(u, v) = a(u, v) / mu(u)."""
-        return self.conductance(u, v) / self.mu[u]
+        """Transition kernel r(u, v) = a(u, v) / mu(u), zero off the edges."""
+        return self.a.get((u, v) if u < v else (v, u), Fraction(0)) / self.mu[u]
 
     @cached_property
     def total_mu(self) -> Fraction:
@@ -51,21 +48,6 @@ class ReversibleWalk:
         """(A, scale): a(e) == A[i] / scale for the i-th edge e of graph.edges."""
         scaled, scale = scaled_integers([self.a[e] for e in self.graph.edges])
         return tuple(scaled), scale
-
-    @cached_property
-    def total_a(self) -> Fraction:
-        """Area a(E) of the full edge set."""
-        return sum(self.a.values(), Fraction(0))
-
-    def area(self, edges) -> Fraction:
-        """Area a(D) of a set of edges (any orientation)."""
-        total = Fraction(0)
-        for u, v in edges:
-            key = (u, v) if u < v else (v, u)
-            if key not in self.a:
-                raise WalkError(f"({u},{v}) is not an edge of the walk's graph")
-            total += self.a[key]
-        return total
 
 
 def from_conductance(graph: MeasuredGraph, a) -> ReversibleWalk:
@@ -116,69 +98,6 @@ def auxiliary_walk(graph: MeasuredGraph) -> ReversibleWalk:
     if not graph.connected:
         raise WalkError("auxiliary walk needs a connected graph")
     return from_conductance(graph, lambda u, v: graph.measure[u] + graph.measure[v])
-
-
-@dataclass(frozen=True)
-class AuxiliaryWalkReport:
-    """Exact verification of the defining and derived properties of the
-    auxiliary walk on a bounded-ratio measured graph.
-
-    conductance_matches   a(u,v) = m(u) + m(v) on every edge
-    support_matches       r(u,v) > 0 exactly on edges
-    measure_sandwich      s/(K(1+s)) mu(u) <= m(u) <= mu(u)/(1+s) for all u
-    cheeger_bound_holds   conductance Cheeger constant >= c s / K
-    """
-
-    conductance_matches: bool
-    support_matches: bool
-    measure_sandwich: bool
-    cheeger_bound_holds: bool
-    conductance_cheeger: Fraction
-    cheeger_floor: Fraction
-    vertex_cheeger: Fraction
-    graph_stats: GraphStats
-
-    @property
-    def all_hold(self) -> bool:
-        return (
-            self.conductance_matches
-            and self.support_matches
-            and self.measure_sandwich
-            and self.cheeger_bound_holds
-        )
-
-
-def verify_auxiliary_walk(graph: MeasuredGraph, cap: int = DEFAULT_CAP) -> AuxiliaryWalkReport:
-    """Check the four auxiliary-walk conditions in exact rational arithmetic."""
-    walk = auxiliary_walk(graph)
-    st = stats(graph)
-    if st.ratio_bound is None:
-        raise WalkError("measure-ratio bound undefined (zero-measure edge endpoint)")
-    s = st.ratio_bound
-    big_k = st.max_valency
-
-    conductance_matches = all(
-        walk.a[(u, v)] == graph.measure[u] + graph.measure[v] for u, v in graph.edges
-    )
-    support_matches = set(walk.a) == set(graph.edges) and all(v > 0 for v in walk.a.values())
-    lo = s / (big_k * (1 + s))
-    hi = Fraction(1, 1) / (1 + s)
-    measure_sandwich = all(
-        lo * walk.mu[u] <= graph.measure[u] <= hi * walk.mu[u] for u in range(graph.n)
-    )
-    vertex_cert = cheeger_vertex(graph, cap=cap)
-    cond_cert = cheeger_conductance(walk, graph.measure, cap=cap)
-    floor = vertex_cert.value * s / big_k
-    return AuxiliaryWalkReport(
-        conductance_matches=conductance_matches,
-        support_matches=support_matches,
-        measure_sandwich=measure_sandwich,
-        cheeger_bound_holds=cond_cert.value >= floor,
-        conductance_cheeger=cond_cert.value,
-        cheeger_floor=floor,
-        vertex_cheeger=vertex_cert.value,
-        graph_stats=st,
-    )
 
 
 def heat_kernel_measure(graph: MeasuredGraph, x0: int, k: int) -> tuple[Fraction, ...]:

@@ -24,7 +24,7 @@ from mexp import (
     generalised_certificate,
 )
 from mexp.cli import main
-from mexp.families import make_cycle, probability_counting_measure, random_regular
+from mexp.families import CertificateRow, make_cycle, probability_counting_measure, random_regular
 import random
 
 
@@ -150,6 +150,14 @@ class TestVerifyCommand:
         code, out, _ = run(capsys, "verify", "--input", c6_file, "--theorem", theorem)
         assert code == 0
         assert report_of(out)["results"]["holds"] is True
+
+    @pytest.mark.parametrize("theorem", ["measured-sandwich", "gap-controls", "poincare-to-cheeger"])
+    def test_partial_support_exits_two(self, capsys, tmp_path, theorem):
+        path = tmp_path / "k2.json"
+        path.write_text(dump_graph(MeasuredGraph.build(2, [(0, 1)], [1, 0])), encoding="utf-8")
+        code, out, err = run(capsys, "verify", "--input", str(path), "--theorem", theorem)
+        assert code == 2 and out == ""
+        assert "full support" in err and "Traceback" not in err
 
     def test_weak_bridge_holds(self, capsys, tmp_path):
         # the bridge mode 1e-11 is the gap, not part of the kernel, so
@@ -297,6 +305,34 @@ class TestCertifyCommand:
         assert code == 1
         code, _, _ = run(capsys, "certify", "--dir", str(fam), "--p", "2", "--tolerance", "1e-5")
         assert code == 0
+
+    def c16_family(self, tmp_path):
+        fam = tmp_path / "fam"
+        fam.mkdir()
+        (fam / "g0.json").write_text(dump_graph(make_cycle(16, probability_counting_measure(16))), encoding="utf-8")
+        return str(fam)
+
+    def test_asymmetric_pair_measure_violates(self, capsys, tmp_path, monkeypatch):
+        def asymmetric(*args, **kwargs):
+            cert = generalised_certificate(*args, **kwargs)
+            return dataclasses.replace(cert, rows=(dataclasses.replace(cert.rows[0], symmetric=False),))
+
+        fam = self.c16_family(tmp_path)
+        assert run(capsys, "certify", "--dir", fam, "--p", "2")[0] == 0
+        monkeypatch.setattr(cli, "generalised_certificate", asymmetric)
+        assert run(capsys, "certify", "--dir", fam, "--p", "2")[0] == 1
+
+    def test_skipped_row_flags_are_not_violations(self, capsys, tmp_path, monkeypatch):
+        # a skipped member has no pair measure, so its flags are None
+        def with_skipped(*args, **kwargs):
+            cert = generalised_certificate(*args, **kwargs)
+            skipped = CertificateRow(index=1, size=4, gamma=Fraction(1, 4), skipped="peak mass 1/4 >= 1/8")
+            return dataclasses.replace(cert, rows=(*cert.rows, skipped))
+
+        monkeypatch.setattr(cli, "generalised_certificate", with_skipped)
+        code, out, _ = run(capsys, "certify", "--dir", self.c16_family(tmp_path), "--p", "2")
+        assert code == 0
+        assert report_of(out)["results"]["rows"][1]["symmetric"] is None
 
     @pytest.mark.parametrize("table", ["[[1]]", '{"0": 1}', "[true]", '["1"]', "[2, 1]", "[0, 1", "[0, NaN]"])
     def test_malformed_rho_exits_two(self, capsys, tmp_path, table):
@@ -658,6 +694,16 @@ class TestExitCodes:
         code, out, err = run(capsys, "cheeger", "--input", str(tmp_path))
         assert code == 2 and out == ""
         assert err.startswith("mexp: error:") and "Traceback" not in err
+
+    @pytest.mark.parametrize(
+        "argv", [["cheeger"], ["verify", "--theorem", "measured-sandwich"]], ids=["cheeger", "verify"]
+    )
+    def test_graph_beyond_cap_exits_two(self, capsys, tmp_path, argv):
+        path = tmp_path / "c8.json"
+        path.write_text(dump_graph(make_cycle(8)), encoding="utf-8")
+        code, out, err = run(capsys, *argv, "--input", str(path), "--cap", "5")
+        assert code == 2 and out == ""
+        assert err.startswith("mexp: error:") and "exact mode infeasible" in err and "Traceback" not in err
 
     def test_non_utf8_input_exits_two(self, capsys, tmp_path):
         path = tmp_path / "latin1.json"

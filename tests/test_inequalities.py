@@ -96,10 +96,15 @@ class TestMeasuredSandwich:
             g = helpers.rand_connected(rng, 3, 10, measured=True)
             assert verify_measured_sandwich(g).holds
 
-    def test_partial_support_rejected(self):
+    @pytest.mark.parametrize(
+        "verify",
+        [verify_measured_sandwich, verify_gap_controls, verify_poincare_to_cheeger],
+        ids=["measured-sandwich", "gap-controls", "poincare-to-cheeger"],
+    )
+    def test_partial_support_rejected(self, verify):
         g = MeasuredGraph.build(2, [(0, 1)], [1, 0])
-        with pytest.raises(ValueError, match="full support"):
-            verify_measured_sandwich(g)
+        with pytest.raises(InputError, match="full support"):
+            verify(g)
 
 
 class TestGapControls:
@@ -179,7 +184,20 @@ class TestDistanceBound:
             cut_b = rng.randrange(cut_a + 1, n + 1)
             a = VertexSubset.from_indices(n, vertices[:cut_a])
             b = VertexSubset.from_indices(n, vertices[cut_a:cut_b])
-            assert distance_gap_bound(walk, a, b).holds
+            report = distance_gap_bound(walk, a, b)
+            assert report.holds
+            # (1/mu(A) + 1/mu(B)) (a(E) - a(E_A) - a(E_B)), edge by edge
+            mu_a = sum((walk.mu[v] for v in a.indices()), Fraction(0))
+            mu_b = sum((walk.mu[v] for v in b.indices()), Fraction(0))
+            total = internal_a = internal_b = Fraction(0)
+            for (u, v), weight in walk.a.items():
+                total += weight
+                if u in a and v in a:
+                    internal_a += weight
+                if u in b and v in b:
+                    internal_b += weight
+            expected = (1 / mu_a + 1 / mu_b) * (total - internal_a - internal_b)
+            assert Fraction(report.inputs["rhs"]) == expected
 
     def test_overlap_rejected(self):
         walk = auxiliary_walk(make_cycle(4))
