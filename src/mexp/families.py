@@ -90,11 +90,12 @@ def random_regular(n: int, k: int, rng: random.Random, measure=None) -> Measured
     """
     if n * k % 2 != 0 or not 0 < k < n or (k == 1 and n > 2):
         raise InputError(f"no connected {k}-regular graph on {n} vertices")
+    points = [v for v in range(n) for _ in range(k)]
     for _ in range(500):
-        stubs = [v for v in range(n) for _ in range(k)]
+        stubs = points.copy()
         rng.shuffle(stubs)
-        edges = {(min(u, v), max(u, v)) for u, v in zip(stubs[::2], stubs[1::2])}
-        if len(edges) == n * k // 2 and all(u != v for u, v in edges):
+        edges = _simple_pairing(stubs)
+        if edges is not None:
             graph = MeasuredGraph.build(n, sorted(edges), measure or counting_measure(n))
             if graph.connected:
                 return graph
@@ -116,6 +117,18 @@ def random_regular(n: int, k: int, rng: random.Random, measure=None) -> Measured
         else:
             _toggle(adj, swap)
     return MeasuredGraph.build(n, sorted(edges), measure or counting_measure(n))
+
+
+def _simple_pairing(stubs: list[int]) -> set[tuple[int, int]] | None:
+    """Edges of the pairing (stubs[0], stubs[1]), (stubs[2], stubs[3]), ...,
+    or None at its first loop or repeated pair."""
+    edges = set()
+    for u, v in zip(stubs[::2], stubs[1::2]):
+        edge = (u, v) if u < v else (v, u)
+        if u == v or edge in edges:
+            return None
+        edges.add(edge)
+    return edges
 
 
 def _toggle(adj: list[set[int]], pairs) -> None:

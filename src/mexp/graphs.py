@@ -111,12 +111,16 @@ class MeasuredGraph:
                 raise GraphFormatError(f"vertex {v}: negative measure {mv}")
         if sum(m) <= 0:
             raise GraphFormatError("total measure must be positive")
-        return cls(
-            n=n,
-            neighbors=tuple(tuple(sorted(s)) for s in adj),
-            measure=m,
-            labels=tuple(labels) if labels is not None else tuple(range(n)),
-        )
+        labels = tuple(range(n) if labels is None else labels)
+        if len(labels) != n:
+            raise GraphFormatError(f"{len(labels)} labels for {n} vertices")
+        try:
+            distinct = len({(type(label), label) for label in labels})  # matched by JSON type and value
+        except TypeError:
+            raise GraphFormatError("vertex labels must be hashable") from None
+        if distinct != n:
+            raise GraphFormatError("duplicate vertex label")
+        return cls(n=n, neighbors=tuple(tuple(sorted(s)) for s in adj), measure=m, labels=labels)
 
     # -- derived views -----------------------------------------------------
 

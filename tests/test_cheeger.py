@@ -24,16 +24,15 @@ from mexp.rationals import scaled_integers
 
 def profile_minimizer(graph, alpha, radius):
     """(value, mask) of the profile at (alpha, radius) from the enumeration
-    engine that asymptotic_profile runs, which keeps the witness."""
+    engine that asymptotic_profile runs, which keeps the witness; None when
+    no subset is feasible."""
     masses, _ = scaled_integers(graph.measure)
     total = sum(masses)
-    halves = cheeger._Halves(graph.n, total)
+    halves = cheeger._Halves(graph.n, total, masses)
     tables = halves.sums(masses)
     boundary = cheeger._boundary(halves, tables, cheeger._ball_masks(graph, radius))
-    num, den, mask = cheeger._minimize_ratio(
-        halves, max(1, math.ceil(alpha * total)), total // 2, tables, None, boundary
-    )
-    return Fraction(num, den), mask
+    best = cheeger._minimize_ratio(halves, max(1, math.ceil(alpha * total)), total // 2, tables, None, *boundary)
+    return None if best is None else (Fraction(best[0], best[1]), best[2])
 
 
 def k4_times_k2():
@@ -340,3 +339,74 @@ class TestTieRule:
                 value, witnesses = oracles.brute_profile_minimizers(graph, alpha, radius)
                 assert profile_minimizer(graph, alpha, radius) == (value, oracles.smallest_mask(witnesses))
                 assert asymptotic_profile(graph, [alpha], radii=[radius]).value(alpha, radius) == value
+
+
+def width_graph(rng, n, width):
+    """Random connected graph whose scaled masses take the float53, int64 or
+    bigint path; "shifted" masses span 10^310, so that ratios are ranked
+    scaled by a power of two."""
+    if width == "float53":
+        masses = [Fraction(rng.randrange(1, 10), rng.randrange(1, 10)) for _ in range(n)]
+    elif width == "int64":
+        masses = [rng.randrange(1 << 53, 1 << 54) for _ in range(n)]
+    else:
+        masses = [Fraction(rng.randrange(1, 50), helpers.LARGE_PRIMES[v % 4]) for v in range(n)]
+        if width == "shifted":
+            masses = [m * 10 ** (310 * (v % 3 == 0)) for v, m in enumerate(masses)]
+    return random_connected_graph(n, rng, extra_edges=0.2, measure=masses)
+
+
+def minimizers(graph, flavor):
+    """(value, witness mask) of every minimization the flavor runs."""
+    if flavor == "vertex":
+        cert = cheeger_vertex(graph, cap=graph.n)
+        return [(cert.value, cert.witness.mask)]
+    if flavor == "conductance":
+        walk = auxiliary_walk(graph)
+        certs = [cheeger_conductance(walk, constraint, cap=graph.n) for constraint in (None, graph.measure)]
+        return [(cert.value, cert.witness.mask) for cert in certs]
+    return [profile_minimizer(graph, alpha, radius) for alpha in (Fraction(1, 8), Fraction(1, 4)) for radius in (1, 2)]
+
+
+class TestRowPruning:
+    """Past _BLOCK_BITS vertices the engine relabels the heaviest vertices
+    into the row half, visits rows in ascending bound and stops at the first
+    block bounded above the incumbent; the one-block engine (_BLOCK_BITS
+    raised) visits every mask in ascending order."""
+
+    @pytest.mark.parametrize("flavor", ["vertex", "conductance", "profile"])
+    @pytest.mark.parametrize("width, n", [("float53", 20), ("float53", 19), ("int64", 19), ("int64", 20), ("bigint", 17), ("bigint", 18), ("shifted", 17)])
+    def test_matches_one_block_engine(self, monkeypatch, width, n, flavor):
+        graph = width_graph(random.Random(f"{width}-{n}-{flavor}"), n, width)
+        pruned = minimizers(graph, flavor)
+        monkeypatch.setattr(cheeger, "_BLOCK_BITS", 40)
+        assert minimizers(graph, flavor) == pruned
+
+    @pytest.mark.parametrize("flavor", ["vertex", "conductance", "profile"])
+    def test_ties_settle_on_original_masks(self, monkeypatch, flavor):
+        # C18 with masses alternating 1, 2: the heavy vertices are relabelled
+        # into the row half and the rotations by two are exact ties
+        graph = make_cycle(18).with_measure([1 + v % 2 for v in range(18)])
+        pruned = minimizers(graph, flavor)
+        monkeypatch.setattr(cheeger, "_BLOCK_BITS", 40)
+        assert minimizers(graph, flavor) == pruned
+
+    def test_rows_bounded_above_the_optimum_are_skipped(self, monkeypatch):
+        visited = []
+        boundary = cheeger._boundary
+
+        def counting(halves, tables, reach):
+            numerator, row_num = boundary(halves, tables, reach)
+
+            def counted(rows, r, c, den):
+                visited.append(rows.size)
+                return numerator(rows, r, c, den)
+
+            return counted, row_num
+
+        monkeypatch.setattr(cheeger, "_boundary", counting)
+        graph = width_graph(random.Random(5), 20, "float53")
+        pruned = cheeger_vertex(graph)
+        assert sum(visited) < 2 ** 10 // 2  # of 2^10 rows: 3 blocks of 64 here, 10 unpruned
+        monkeypatch.setattr(cheeger, "_BLOCK_BITS", 40)
+        assert cheeger_vertex(graph) == pruned

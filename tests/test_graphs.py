@@ -91,6 +91,18 @@ class TestLoad:
     def test_conductance_section_optional(self):
         assert load_conductance(K2_DOC, load_graph(K2_DOC)) is None
 
+    def test_build_rejects_label_count(self):
+        with pytest.raises(GraphFormatError, match="1 labels for 3 vertices"):
+            MeasuredGraph.build(3, [(0, 1), (1, 2)], [1, 1, 1], labels=["a"])
+
+    def test_build_rejects_duplicate_labels(self):
+        with pytest.raises(GraphFormatError, match="duplicate vertex label"):
+            MeasuredGraph.build(3, [(0, 1), (1, 2)], [1, 1, 1], labels=["a", "a", "b"])
+        # labels match by JSON type and value, so 1 and "1" are distinct
+        assert MeasuredGraph.build(2, [(0, 1)], [1, 1], labels=[1, "1"]).labels == (1, "1")
+        with pytest.raises(GraphFormatError, match="hashable"):
+            MeasuredGraph.build(2, [(0, 1)], [1, 1], labels=[[0], [1]])
+
 
 class TestMetric:
     def test_cycle_distance(self):
