@@ -12,11 +12,43 @@ Enumeration strategy: measures are cleared of denominators once.  A subset
 mask splits into a column (its low ceil(n/2) bits) and a row H (the rest),
 and every sum over A is a column-table lookup plus a row-table lookup;
 blocks of rows are crossed with all columns and only the feasible entries
-are evaluated.  The cut of A is vol(A) - 2 a(E(A)), where the internal
-weight is two table lookups plus one matrix product per block for the edges
-between the halves.  Sums stay exact: float64 while the scaled totals are
-below 2^53, int64 below 2^62, Python ints beyond.  When the conductance
-constraint is mu itself, feasibility is tested on vol, a multiple of mu.
+are evaluated.  The cut of A is summed from nonnegative terms only: the cut
+inside the column half, the cut inside the row half, and the weight between
+the halves, [1 - x_H, x_H] @ [P; Q] for one matrix product per block, where
+P[c] is the weight from the column set c to each row-half vertex and Q[c] =
+P[c'] with c' the rest of the column half.  When the conductance constraint
+is mu itself, feasibility is tested on vol, a multiple of mu.
+
+Widths and shadows.  The exact tables are float64 while the scaled totals
+are below 2^53, int64 below 2^62 and Python ints beyond, and the block loop
+runs on float64 shadows of them: below 2^62 the exact table itself, beyond
+it exact * 2^-shift, correctly rounded, with the shift that keeps every
+entry below 2^1000.  No block-sized array of Python ints is formed; only
+band entries and candidates are looked up in the exact tables.  With u =
+2^-53 a shadow sum of two entries lies within (1+u)^2 of the exact one, so
+the float decides feasibility outside a relative band of 2^-50 around each
+limit, and the entries inside the band are checked exactly.  Ratios are
+ranked by float num/den; every candidate within a relative margin of the
+least float ratio so far is kept, so nothing outside it can be a minimizer
+or tie with one, given a margin above the square of the ratio's error F:
+
+  vertex, profile   num and den sum two entries rounded once each (int64:
+                    num and den are rounded once), F = ((1+u)/(1-u))^3,
+                    margin 1 + 2^-48
+  conductance       the cross term sums n - h correctly rounded entries of
+                    P or Q, F = ((1+u)/(1-u))^(n-h+2), margin 1 + 2^-46,
+                    which exceeds F^2 for n <= 48
+
+Below 2^53 every sum is exact and the ratio correctly rounded, so there is
+no band and the margin, 1 + 2^-48 for every flavor, only admits near-ties.
+Beyond 2^1000 ratios are ranked scaled by 2^shift, and a shadow below
+2^-1000 (subnormal entries arise once the scaled total exceeds about 2^2022)
+carries no relative bound: a candidate whose num, den or ratio is that small
+is always settled exactly, and such a row gets bound 0.  Settlement gathers
+the exact num and den of the candidates alone and runs a knockout of
+Python-int cross-multiplications, one vectorized step per round; exact ties
+break toward the smallest mask in the original labels, all mapped back at
+once, so neither the relabelling nor the visit order can change the witness.
 
 Pruning.  Graphs whose rows fit in one block (n <= _BLOCK_BITS) are
 enumerated whole.  Past that, every row H gets a lower bound on the ratio of
@@ -30,38 +62,24 @@ where reach is the one-hop (radius-R for the profile) neighbourhood.  The
 row-half vertices that H reaches but does not contain lie in the boundary,
 and the edges from H to the rest of the row half lie in the cut, whatever
 the column.  A row whose own mass exceeds the upper limit, or whose mass
-with the whole low half stays below the lower limit, holds no feasible mask
-and gets an infinite bound; a row whose largest denominator is 0 gets 0.
-The vertices are first relabelled by ascending m (mu for conductance), so
-that the heaviest form the row half and the bounds are tight.  Rows are
-then visited in ascending float bound, and the scan stops at the first
-block whose first bound exceeds the running minimum times the margin below.
-The skip is exact by the same argument as the ranking: the bound is the
-float of an exact rational, rounded like any candidate ratio, so a bound
-beyond the margin lies above the incumbent exactly, and so do the bounds of
-all later rows and every ratio in them.  A bound equal to the incumbent
-never exceeds it, so rows that hold ties are visited.
-
-Ratios are ranked by float64 num/den, which is not exact on every path.  On
-the int64 path num and den are rounded to float before the division, so a
-float ratio lies within a factor (1+u)^2/(1-u) of the true one (u = 2^-53)
-and two distinct rationals can swap order.  Every candidate whose float
-ratio lies within a relative margin of 1 + 2^-48, which exceeds
-((1+u)/(1-u))^3, of the running minimum is therefore settled by exact
-integer cross-multiplication; nothing outside the margin can be a minimizer
-or tie with one.  On the float64 and Python-int paths the float ratio is
-correctly rounded, hence monotone in the true ratio, so the margin only
-admits near-ties; on the Python-int path the ratios and bounds are ranked
-scaled by a common power of two that keeps them within float range.  Exact
-ties break toward the smallest mask in the original labels, compared
-explicitly, so neither the relabelling nor the visit order can change the
-witness.  There is no approximate fallback: graphs beyond the cap raise
+with the whole low half stays below the lower limit, by more than the band,
+holds no feasible mask and gets an infinite bound; a row whose largest
+denominator is 0 gets 0.  The vertices are first relabelled by ascending m
+(mu for conductance), so that the heaviest form the row half and the
+bounds are tight.  Rows are then visited in ascending float bound, and the
+scan stops at the first block whose first bound exceeds the least float
+ratio so far times the margin.  The bound is built from shadows within
+((1+u)/(1-u))^4 of the exact one, and the margin exceeds that times F, so
+a bound beyond it lies above that ratio exactly, and so do the bounds of
+all later rows and every ratio in them; rows that hold ties are visited.
+There is no approximate fallback: graphs beyond the cap raise
 ExactModeInfeasible.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import lru_cache
 from fractions import Fraction
 from typing import Sequence
 
@@ -141,19 +159,21 @@ def cheeger_conductance(
     cap: int = DEFAULT_CAP,
 ) -> CheegerCertificate:
     """Conductance Cheeger constant min a(cut A)/mu(A), feasibility in the
-    constraint measure (defaults to mu itself)."""
+    constraint measure (defaults to mu itself), which must be nonnegative."""
     graph = walk.graph
     _check_cap(graph.n, cap)
     weights, _ = walk.integer_conductances
-    m = walk.mu if constraint is None else tuple(map(Fraction, constraint))
+    m = walk.mu if constraint is None else tuple(v if type(v) is Fraction else Fraction(v) for v in constraint)
     if len(m) != graph.n:
         raise InputError(f"constraint measure has {len(m)} entries for {graph.n} vertices")
     # feasibility in mu itself is tested on vol, a multiple of mu, which is then den
     scaled = None if m == walk.mu else scaled_integers(m)[0]
+    if scaled is not None and min(scaled) < 0:
+        raise InputError("constraint measure must be nonnegative")
     total = 2 * sum(weights) if scaled is None else sum(scaled)
     if total <= 0:
         raise InputError("constraint measure must have positive total")
-    halves = _Halves(graph.n, max(total, 2 * sum(weights)), walk.mu)
+    halves = _Halves(graph.n, max(total, 2 * sum(weights)), walk.mu, _CUT_MARGIN)
     vol, numerator, row_num = _cut(halves, graph.n, graph.edges, weights)
     feas, den = (vol, None) if scaled is None else (halves.sums(scaled), vol)
     best = _minimize_ratio(halves, 1, total // 2, feas, den, numerator, row_num)
@@ -204,24 +224,33 @@ def _ball_masks(graph: MeasuredGraph, radius: int) -> list[int]:
 
 # -- enumeration engine ------------------------------------------------------
 
-_MARGIN = 1.0 + 2.0**-48  # exceeds ((1+u)/(1-u))^3, u = 2^-53: see the module docstring
+_MARGIN = 1.0 + 2.0**-48  # exceeds ((1+u)/(1-u))^7, u = 2^-53: see the module docstring
+_CUT_MARGIN = 1.0 + 2.0**-46  # exceeds ((1+u)/(1-u))^52: the conductance cross term, n <= 48
+_BAND = 2.0**-50  # relative width of the feasibility band around the limits
+_TINY = 2.0**-1000  # below this a shadow carries no relative error bound
 
 
 class _Halves:
-    """Bit matrices of the column and row halves of an n-vertex mask, in the
-    narrowest dtype that keeps sums up to bound exact.
+    """Bit matrices of the column and row halves of an n-vertex mask, the
+    narrowest exact dtype that keeps sums up to bound exact, and the scale of
+    the float64 shadow tables.
 
     When the rows span more than one block, the vertices are relabelled in
     ascending weight, so that the heaviest form the row half; the tables are
-    then built in the new labels and `original` maps a mask back."""
+    then built in the new labels and `original` maps masks back.  margin is
+    the ranking margin the flavor's shadows need once they are rounded."""
 
-    def __init__(self, n: int, bound: int, weight):
+    def __init__(self, n: int, bound: int, weight, margin: float = _MARGIN):
         self.h = (n + 1) // 2
         self.dtype = np.float64 if bound < 1 << 53 else np.int64 if bound < 1 << 62 else object
-        # ratios are at most bound; ranking num / (den << shift) keeps them finite
+        # shadows are exact * 2^-shift, which keeps every table entry below 2^1000
         self.shift = max(0, bound.bit_length() - 1000)
-        self.bits = [((np.arange(1 << k)[:, None] >> np.arange(k)) & 1) for k in (self.h, n - self.h)]
-        self.xs = [b.astype(self.dtype) for b in self.bits]
+        self.rounded = self.dtype is not np.float64  # ratios (and conductance shadows) round
+        self.margin = margin if self.rounded else _MARGIN
+        self.eps = _BAND if self.dtype is object else 0.0
+        self.tiny = _TINY if self.shift else 0.0
+        self.bits = [_bit_table(k) for k in (self.h, n - self.h)]
+        self.xs = None if self.dtype is object else [_bit_table(k, self.dtype) for k in (self.h, n - self.h)]
         self.order = sorted(range(n), key=weight.__getitem__) if n > _BLOCK_BITS else None
         if self.order is not None:
             self.position = sorted(range(n), key=self.order.__getitem__)
@@ -230,94 +259,193 @@ class _Halves:
         """Per-vertex values in the engine's labels."""
         return values if self.order is None else [values[v] for v in self.order]
 
-    def original(self, mask: int) -> int:
-        """An engine-label mask in the original labels."""
-        return mask if self.order is None else _map_bits(mask, self.order)
+    def original(self, masks):
+        """Engine-label masks in the original labels."""
+        return masks if self.order is None else _map_bits(masks, self.order)
+
+    def shadow(self, exact):
+        """The float64 table of exact * 2^-shift, correctly rounded; below 2^62
+        it is the exact table itself."""
+        if self.dtype is not object:
+            return exact
+        if self.shift:
+            exact = exact / (1 << self.shift)  # Python-int true division rounds correctly
+        return np.asarray(exact, dtype=np.float64)
+
+    def limits(self, lo: int, hi: int):
+        """Float limits (lo_in, hi_in, lo_out, hi_out): a shadow sum inside
+        [lo_in, hi_in] lies in [lo, hi] exactly, one outside [lo_out, hi_out]
+        does not, and only the exact sum decides the band between them."""
+        if not self.eps:
+            return lo, hi, lo, hi
+        lo, hi = lo / (1 << self.shift), hi / (1 << self.shift)
+        e, t = self.eps, self.tiny
+        return lo * (1 + e) + t, hi * (1 - e) - t, lo * (1 - e) - t, hi * (1 + e) + t
 
     def sums(self, values):
-        """(column table, row table) of subset sums of per-vertex values."""
-        v = np.array(self.relabelled(values), dtype=self.dtype)
-        return self.xs[0] @ v[: self.h], self.xs[1] @ v[self.h :]
+        """(exact, shadow) pairs of (column table, row table) of subset sums of
+        per-vertex values."""
+        return self.tables(np.asarray(self.relabelled(values), dtype=self.dtype))
+
+    def tables(self, v):
+        """sums of per-vertex values given in the engine's labels."""
+        exact = self.subset_sums(0, v[: self.h]), self.subset_sums(1, v[self.h :])
+        return exact, (self.shadow(exact[0]), self.shadow(exact[1]))
+
+    def subset_sums(self, half: int, values):
+        """Exact table t with t[S] the sum of values[i] over the bits i of S,
+        for the column (half 0) or row (half 1) bits; values may be rows, and
+        then so is each entry.  Python ints are summed by doubling, one
+        vectorized addition per vertex."""
+        v = np.asarray(values, dtype=self.dtype)
+        if self.xs is not None:
+            return self.xs[half] @ v
+        t = np.zeros((1 << len(v),) + v.shape[1:], dtype=object)
+        for i in range(len(v)):
+            t[1 << i : 2 << i] = t[: 1 << i] + v[i]
+        return t
 
     def unions(self, masks):
         """Column and row tables of the union of per-vertex masks, each split
         into its column bits and its row bits."""
         if self.order is not None:
-            masks = [_map_bits(mask, self.position) for mask in self.relabelled(masks)]
-        m = np.array(masks, dtype=np.int64)
+            masks = _map_bits(self.relabelled(masks), self.position)
+        m = np.asarray(masks, dtype=np.int64)
         col = np.bitwise_or.reduce(self.bits[0] * m[: self.h], axis=1)
         row = np.bitwise_or.reduce(self.bits[1] * m[self.h :], axis=1)
         low = (1 << self.h) - 1
         return col & low, col >> self.h, row & low, row >> self.h
 
-    def ratio(self, num, den):
-        """Float ranking of num / den, scaled by 2^-shift."""
-        return np.asarray(num / (den << self.shift if self.shift else den), dtype=np.float64)
+
+@lru_cache(maxsize=None)
+def _bit_table(k: int, dtype=np.int64, sides: bool = False):
+    """The 2^k x k table whose row S holds the bits of S, or with sides the
+    2^k x 2k table [1 - bits, bits]; read-only and shared between calls."""
+    bits = (np.arange(1 << k)[:, None] >> np.arange(k)) & 1
+    if sides:
+        bits = np.concatenate((1 - bits, bits), axis=1)
+    bits = bits.astype(dtype)
+    bits.flags.writeable = False
+    return bits
 
 
-def _map_bits(mask: int, target) -> int:
-    """The mask with bit i moved to bit target[i]."""
-    return sum(1 << t for i, t in enumerate(target) if mask >> i & 1)
+def _map_bits(masks, target):
+    """The masks with bit i moved to bit target[i]."""
+    bits = (np.asarray(masks, dtype=np.int64)[:, None] >> np.arange(len(target))) & 1
+    return bits @ (np.int64(1) << np.asarray(target, dtype=np.int64))
 
 
 def _minimize_ratio(halves: _Halves, feas_lo: int, feas_hi: int, feas, den, numerator, row_num):
     """Minimize numerator/den over masks A with feas_lo <= feas(A) <= feas_hi.
 
-    feas and den are (column, row) table pairs (den None: den is feas);
-    numerator(rows, r, c, den) evaluates at the entries (r, c) of the block
-    of row indices `rows`; row_num() gives, per row j, a lower bound on the
-    numerator of every mask in row j, and is called only when rows are
+    feas and den are (exact, shadow) table pairs from _Halves.sums (den None:
+    den is feas); numerator(rows, r, c, exact) evaluates at the entries (r, c)
+    of the block of row indices `rows`, from the shadows or, with exact true,
+    from the exact tables; row_num() gives, per row j, a shadow lower bound on
+    the numerator of every mask in row j, and is called only when rows are
     pruned.  Returns exact (num, den, mask) with the smallest original-label
     mask among the exact minimizers, or None."""
     if feas_lo > feas_hi:
         return None
     h = halves.h
     low = (1 << h) - 1
-    flo, fhi = feas
+    (flo_x, fhi_x), (flo, fhi) = feas
+    lo_in, hi_in, lo_out, hi_out = halves.limits(feas_lo, feas_hi)
+    margin, tiny = halves.margin, halves.tiny
     step = max(1, (1 << _BLOCK_BITS) >> h)
     visit, bound = np.arange(fhi.size), None
     if halves.order is not None:
         bound = _row_bounds(halves, feas_lo, feas_hi, feas, den, row_num)
         visit = np.argsort(bound, kind="stable")
         bound = bound[visit]
-    best, best_ratio = None, np.inf
+    best, found = np.inf, []
     for k in range(0, fhi.size, step):
-        if bound is not None and bound[k] > best_ratio * _MARGIN:
+        if bound is not None and bound[k] > best * margin:
             break  # every later row is bounded above the incumbent
         rows = visit[k : k + step]
         fm = fhi[rows, None] + flo
-        idx = np.flatnonzero((fm >= feas_lo) & (fm <= feas_hi))
+        idx = np.flatnonzero((fm >= lo_out) & (fm <= hi_out))
+        if halves.eps:  # inside the band only the exact sums decide
+            f = fm.ravel()[idx]
+            inside = (f >= lo_in) & (f <= hi_in)
+            band = np.flatnonzero(~inside)
+            if band.size:
+                b = idx[band]
+                exact = flo_x[b & low] + fhi_x[rows[b >> h]]
+                inside[band] = (exact >= feas_lo) & (exact <= feas_hi)
+                idx = idx[inside]
         if not idx.size:
             continue
         r, c = idx >> h, idx & low
-        d = fm.ravel()[idx] if den is None else den[0][c] + den[1][rows[r]]
-        num = numerator(rows, r, c, d)
-        ratio = halves.ratio(num, d)
-        for i in np.flatnonzero(ratio <= min(ratio.min(), best_ratio) * _MARGIN).tolist():
-            cand = int(num[i]), int(d[i])
-            if best is not None:
-                lhs, rhs = cand[0] * best[1], best[0] * cand[1]
-                if lhs > rhs:
-                    continue
-            mask = halves.original(int(rows[r[i]]) << h | int(c[i]))
-            if best is None or lhs < rhs or mask < best[2]:
-                best, best_ratio = (*cand, mask), ratio[i]
-    return best
+        d = fm.ravel()[idx] if den is None else den[1][0][c] + den[1][1][rows[r]]
+        num = numerator(rows, r, c, False)
+        if tiny:  # ranked as ratio * 2^shift; no error bound below tiny: settled exactly
+            with np.errstate(all="ignore"):
+                d = np.ldexp(d, -halves.shift)
+                ratio = num / d
+            unsure = (np.minimum(num, d) < tiny) | ~(ratio >= tiny)
+            best = min(best, np.where(unsure, np.inf, ratio).min())
+            ratio[unsure] = -1.0
+        else:
+            ratio = num / d
+            best = min(best, ratio.min())
+        keep = np.flatnonzero(ratio <= best * margin)
+        found.append((rows[r[keep]] << h | c[keep], ratio[keep], num[keep], d[keep]))
+    if not found:
+        return None
+    mask, ratio, num, d = found[0]
+    if len(found) > 1:  # drop the candidates of blocks whose minimum has since been beaten
+        mask, ratio, num, d = map(np.concatenate, zip(*found))
+        keep = ratio <= best * margin
+        mask, num, d = mask[keep], num[keep], d[keep]
+    if halves.rounded:  # the candidates' exact terms, from the exact tables
+        rows, cols = mask >> h, mask & low
+        dlo, dhi = (feas if den is None else den)[0]
+        num, d = numerator(rows, np.arange(mask.size), cols, True), dlo[cols] + dhi[rows]
+    return _settle(num, d, halves.original(mask))
+
+
+def _settle(num, den, mask):
+    """(num, den, mask) of the exact minimum of num/den over the candidates,
+    ties to the smallest mask: a knockout in which each round pairs off the
+    survivors and keeps the lesser of each pair by Python-int
+    cross-multiplication, ceil(log2 K) vectorized rounds for K candidates."""
+    k = 0
+    if num.size > 1:
+        num, den = (a if a.dtype == object else a.astype(np.int64).astype(object) for a in (num, den))
+        live = np.arange(num.size)
+        while live.size > 1:
+            half = live.size // 2
+            a, b = live[:half], live[half : 2 * half]
+            lhs, rhs = num[a] * den[b], num[b] * den[a]
+            first = (lhs < rhs) | ((lhs == rhs) & (mask[a] < mask[b]))
+            live = np.concatenate([np.where(first, a, b), live[2 * half :]])
+        k = live[0]
+    return int(num[k]), int(den[k]), int(mask[k])
 
 
 def _row_bounds(halves: _Halves, feas_lo: int, feas_hi: int, feas, den, row_num):
-    """Float lower bound on the ratio over each row: row_num over the largest
-    den in the row, capped by feas_hi when den is feas; 0 where that largest
-    den is 0, and inf on rows with no feasible mask."""
-    flo, fhi = feas
-    dlo, dhi = feas if den is None else den
+    """Float lower bound on the ratio over each row, from the shadows: row_num
+    over the largest den in the row, capped by feas_hi when den is feas; 0
+    where that largest den or the bound is 0 or tiny, and inf on rows with no
+    feasible mask, beyond the feasibility band."""
+    flo, fhi = feas[1]
+    dlo, dhi = (feas if den is None else den)[1]
+    lo_out, hi_out = halves.limits(feas_lo, feas_hi)[2:]
     dmax = dhi + dlo[-1]
     if den is None:
-        dmax = np.minimum(dmax, feas_hi)
-    positive = dmax > 0
-    bound = np.zeros(fhi.size)
-    bound[positive] = halves.ratio(row_num()[positive], dmax[positive])
-    bound[(fhi > feas_hi) | (fhi + flo[-1] < feas_lo)] = np.inf
+        dmax = np.minimum(dmax, feas_hi / (1 << halves.shift))
+    num = row_num()
+    if halves.tiny:  # scaled like the ratios; 0 where the shadows carry no error bound
+        with np.errstate(all="ignore"):
+            dmax = np.ldexp(dmax, -halves.shift)
+            bound = num / dmax
+        bound[(np.minimum(num, dmax) < halves.tiny) | ~(bound >= halves.tiny)] = 0.0
+    else:
+        positive = dmax > 0
+        bound = np.zeros(fhi.size)
+        bound[positive] = num[positive] / dmax[positive]
+    bound[(fhi > hi_out) | (fhi + flo[-1] < lo_out)] = np.inf
     return bound
 
 
@@ -326,37 +454,47 @@ def _boundary(halves: _Halves, tables, reach):
     over A, less A, looked up in the mass tables; and its row bound, the
     mass of the row half's part of reach(H) minus H."""
     col_lo, col_hi, row_lo, row_hi = halves.unions(reach)
-    mlo, mhi = tables
 
-    def numerator(rows, r, c, den):
+    def numerator(rows, r, c, exact):
+        mlo, mhi = tables[0] if exact else tables[1]
         j = rows[r]
         return mlo[(col_lo[c] | row_lo[j]) & ~c] + mhi[(col_hi[c] | row_hi[j]) & ~j]
 
-    return numerator, lambda: mhi[row_hi & ~np.arange(row_hi.size)]
+    return numerator, lambda: tables[1][1][row_hi & ~np.arange(row_hi.size)]
 
 
 def _cut(halves: _Halves, n: int, edges, weights):
-    """Denominator tables of vol(A) = mu(A), with mu the vertex marginal of
-    the weights, and the numerator a(cut A) = vol(A) - 2 a(E(A)).  The
-    internal weight a(E(A)) is a column-table lookup plus a row-table lookup
-    plus the weight between the two halves, one matrix product per block of
-    rows.  The row bound is a(E(H, row half minus H))."""
+    """Tables of vol(A) = mu(A), with mu the vertex marginal of the weights,
+    and the numerator a(cut A), summed from nonnegative terms only: the cut
+    inside the column half, the cut inside the row half, and the edges
+    between the halves, [1 - x, x] @ [P; Q] per block of rows with P the
+    weight from the column set to each row-half vertex and Q the weight from
+    the rest of the column half.  A candidate's exact cut sums the same terms
+    from the exact tables, over its row's bits.  The row bound is the cut
+    inside the row half, a(E(H, row half minus H))."""
     h = halves.h
     if halves.order is not None:
-        edges = [sorted((halves.position[u], halves.position[v])) for u, v in edges]
-    upper = np.zeros((n, n), dtype=halves.dtype)
+        edges = [(halves.position[u], halves.position[v]) for u, v in edges]
+    sym = np.zeros((n, n), dtype=halves.dtype)
     for (u, v), w in zip(edges, weights):
-        upper[u, v] = w  # u < v
-    sym = upper + upper.T
-    deg = sym.sum(axis=1)
-    xlo, xhi = halves.xs
-    vol = xlo @ deg[:h], xhi @ deg[h:]
-    inner_lo = ((xlo @ upper[:h, :h]) * xlo).sum(axis=1)
-    inner_hi = ((xhi @ upper[h:, h:]) * xhi).sum(axis=1)
-    across = (xlo @ upper[:h, h:]).T.copy()
+        sym[u, v] = sym[v, u] = w
+    vol = halves.tables(sym.sum(axis=1))
+    low = (1 << h) - 1
+    outside = _bit_table(h, sides=True)[:, :h], _bit_table(n - h, sides=True)[:, : n - h]
+    weight_to = halves.subset_sums(0, sym[:h])  # [c, v]: the weight from the column set c to v
+    across = weight_to[:, h:]
+    cut = (weight_to[:, :h] * outside[0]).sum(axis=1), (halves.subset_sums(1, sym[h:, h:]) * outside[1]).sum(1)
+    cut_s = halves.shadow(cut[0]), halves.shadow(cut[1])
+    p = np.asarray(halves.shadow(across), dtype=np.float64)
+    pq = np.concatenate((p, p[::-1]), axis=1).T  # p[low ^ c]: the weight from the column half minus c
+    select = _bit_table(n - h, np.float64, True)
+    xhi = halves.bits[1]
 
-    def numerator(rows, r, c, den):
-        cross = xhi[rows] @ across
-        return den - 2 * (inner_lo[c] + inner_hi[rows[r]] + cross[r, c])
+    def numerator(rows, r, c, exact):
+        j = rows[r]
+        if exact:
+            x = xhi[j]
+            return cut[0][c] + cut[1][j] + ((1 - x) * across[c] + x * across[c ^ low]).sum(axis=1)
+        return cut_s[0][c] + cut_s[1][j] + (select[rows] @ pq)[r, c]
 
-    return vol, numerator, lambda: xhi @ sym[h:, h:].sum(axis=1) - 2 * inner_hi
+    return vol, numerator, lambda: cut_s[1]

@@ -452,11 +452,12 @@ def generalised_certificate(
     8 kappa.  A row with no accepted map (skipped members included) is
     untested, and so is the certificate when every row is.
 
-    Exact and float parts: the pair measure (Fractions), the off-diagonal
-    mass (a Fraction) and the symmetric, probability and off-cutoff flags
-    come from integer pair weights m(x)m(y) scaled by the common denominator,
-    with the cutoff decided exactly per distance; the cutoff value, the
-    modulus checks and the energies are float.
+    Exact and float parts: the pair measure (Fractions) and the off-diagonal
+    mass (a Fraction) come from integer pair weights m(x)m(y) scaled by the
+    common denominator, with the cutoff decided exactly per distance; the
+    symmetric, probability and off-cutoff flags are then read off the
+    emitted pair measure itself, in Fractions; the cutoff value, the modulus
+    checks and the energies are float.
 
     The family Cheeger floor entering kappa uses exact enumeration up to the
     cap and the spectral-gap lower bound s*gap/(2(1+s)K) beyond it; any lower
@@ -509,12 +510,12 @@ def generalised_certificate(
         rho = np.array([float(rho_plus(d)) for d in by_distance])[dist]
 
         scaled, scale = scaled_integers(graph.measure)
-        weights = np.array(scaled, dtype=object)
-        far = np.where(beyond, np.outer(weights, weights), 0)
+        far = _pair_weights(scaled, beyond)
         far_sum = int(far.sum())
         xs, ys = np.nonzero(far)
         far_weights = far[xs, ys].tolist()
-        nu = dict(zip(zip(xs.tolist(), ys.tolist()), (Fraction(w, far_sum) for w in far_weights)))
+        as_fraction = {w: Fraction(w, far_sum) for w in set(far_weights)}  # one per distinct weight
+        nu = dict(zip(zip(xs.tolist(), ys.tolist()), map(as_fraction.__getitem__, far_weights)))
         nu_float = np.array([w / far_sum for w in far_weights])  # correctly rounded, as float(Fraction)
 
         supplied = test_maps[index] if test_maps is not None and index < len(test_maps) else ()
@@ -535,9 +536,9 @@ def generalised_certificate(
                 cutoff=math.log(1.0 / (8.0 * float(gamma))) / math.log(big_k),
                 pair_measure=nu,
                 off_diagonal_mass=Fraction(far_sum, scale * scale),
-                symmetric=bool((far == far.T).all()),
-                probability=far_sum > 0,  # nu = far / far_sum then sums to exactly 1
-                supported_off_cutoff=bool(beyond[xs, ys].all()),
+                symmetric=nu == {(y, x): w for (x, y), w in nu.items()},
+                probability=_is_probability(nu.values()),
+                supported_off_cutoff=all(map(beyond.item, nu)),
                 max_tested_energy=max((t.energy for t in results if t.accepted), default=None),
                 test_maps=tuple(results),
                 untested=not any(t.accepted for t in results),
@@ -545,6 +546,21 @@ def generalised_certificate(
         )
     return GeneralisedCertificate(tuple(rows), float(p), kappa, big_k, s_floor, c_floor, tuple(sources), 8.0 * kappa,
                                   all(r.untested for r in rows))
+
+
+def _is_probability(values) -> bool:
+    """Whether nonnegative Fractions sum to exactly 1, summed in integers
+    over the lcm of their denominators."""
+    values = list(values)
+    common = math.lcm(*{v.denominator for v in values})
+    total = sum(v.numerator * (common // v.denominator) for v in values)
+    return all(v.numerator >= 0 for v in values) and total == common
+
+
+def _pair_weights(scaled, beyond) -> np.ndarray:
+    """Integer pair weights m(x) m(y) on the pairs beyond the cutoff, 0 elsewhere."""
+    weights = np.array(scaled, dtype=object)
+    return np.where(beyond, np.outer(weights, weights), 0)
 
 
 def _supplied_map(fmap, n: int) -> np.ndarray:

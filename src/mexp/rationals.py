@@ -60,6 +60,6 @@ def scaled_integers(values) -> tuple[list[int], int]:
     denominators; value[i] == scaled[i] / scale exactly.  Ratios of sums of
     the scaled integers equal the corresponding ratios of the originals.
     """
-    values = [Fraction(v) for v in values]
+    values = [v if type(v) is Fraction else Fraction(v) for v in values]  # Fraction(v) copies
     scale = math.lcm(*(v.denominator for v in values))
     return [v.numerator * (scale // v.denominator) for v in values], scale

@@ -15,11 +15,12 @@ from mexp import (
     auxiliary_walk,
     cheeger_conductance,
     cheeger_vertex,
+    from_conductance,
 )
 from mexp import cheeger
 from mexp.families import make_complete, make_cycle, make_hypercube, random_connected_graph
 from mexp.graphs import measure_of, vertex_boundary
-from mexp.rationals import scaled_integers
+from mexp.rationals import InputError, scaled_integers
 
 
 def profile_minimizer(graph, alpha, radius):
@@ -194,6 +195,15 @@ class TestConductanceFlavor:
         walk = auxiliary_walk(g)
         with pytest.raises(NoFeasibleSubset, match="no subset"):
             cheeger_conductance(walk, [Fraction(1), Fraction(0)])
+
+    @pytest.mark.parametrize("n", [4, 17])
+    def test_negative_constraint_is_rejected(self, n):
+        # past 16 vertices the row bounds also assume nonnegative sums
+        graph = MeasuredGraph.build(n, [(v, v + 1) for v in range(n - 1)], [1] * n)
+        constraint = [1] * n
+        constraint[1] = -1
+        with pytest.raises(InputError, match="nonnegative"):
+            cheeger_conductance(auxiliary_walk(graph), constraint)
 
 
 class TestAsymptoticProfile:
@@ -410,3 +420,105 @@ class TestRowPruning:
         assert sum(visited) < 2 ** 10 // 2  # of 2^10 rows: 3 blocks of 64 here, 10 unpruned
         monkeypatch.setattr(cheeger, "_BLOCK_BITS", 40)
         assert cheeger_vertex(graph) == pruned
+
+
+TWIN_SCALE = Fraction(helpers.LARGE_PRIMES[4], helpers.LARGE_PRIMES[2])  # (2^127 - 1) / (2^89 - 1)
+
+
+class TestWidthTwins:
+    """Every mass (and so every auxiliary conductance) scaled by a common
+    ratio of large primes moves a float53 or int64 graph onto the Python-int
+    path; Cheeger values are scale-invariant, so value and witness must be
+    the original's.  Near-uniform masses 2^55 + d put thousands of ratios
+    within the ranking margin of each other."""
+
+    @pytest.mark.parametrize("flavor", ["vertex", "conductance", "profile"])
+    @pytest.mark.parametrize("width", ["float53", "near-uniform"])
+    @pytest.mark.parametrize("n", [12, 17, 20])
+    def test_twin_matches_original(self, n, width, flavor):
+        rng = random.Random(f"twin-{n}-{width}-{flavor}")
+        if width == "float53":
+            graph = width_graph(rng, n, "float53")
+        else:
+            masses = [2**55 + rng.randrange(16) for _ in range(n)]
+            graph = random_connected_graph(n, rng, extra_edges=0.2, measure=masses)
+        twin = graph.with_measure([m * TWIN_SCALE for m in graph.measure])
+        assert sum(scaled_integers(twin.measure)[0]) >= 1 << 62
+        assert minimizers(twin, flavor) == minimizers(graph, flavor)
+
+
+def assert_matches_oracles(graph, walk=None):
+    """Every flavor's value and witness against the brute-force oracles:
+    vertex; conductance of walk (default: the auxiliary walk) in mu and in
+    the graph's measure; the profile at alpha 1/8 and 1/4, radius 1 and 2."""
+    value, witnesses = oracles.brute_cheeger_vertex(graph)
+    cert = cheeger_vertex(graph)
+    assert (cert.value, cert.witness.mask) == (value, oracles.smallest_mask(witnesses))
+    walk = walk or auxiliary_walk(graph)
+    for constraint in (list(walk.mu), list(graph.measure)):
+        value, witnesses = oracles.brute_conductance_minimizers(walk, constraint)
+        cert = cheeger_conductance(walk, constraint)
+        assert (cert.value, cert.witness.mask) == (value, oracles.smallest_mask(witnesses))
+    for alpha in (Fraction(1, 8), Fraction(1, 4)):
+        for radius in (1, 2):
+            value, witnesses = oracles.brute_profile_minimizers(graph, alpha, radius)
+            expected = None if value is None else (value, oracles.smallest_mask(witnesses))
+            assert profile_minimizer(graph, alpha, radius) == expected
+
+
+class TestShadowFilter:
+    """On the Python-int path feasibility and ranking run on float64
+    shadows, and only what the floats cannot decide is settled exactly."""
+
+    BIG = 3**70  # about 2^111: shadows of neighbouring integers coincide
+
+    def test_feasibility_band(self):
+        x = self.BIG
+        # odd total: {0, 1} weighs m(V)/2 + 1/2, infeasible, with the least
+        # ratio; {2, 3} and {0} weigh exactly floor(m(V)/2)
+        assert_matches_oracles(MeasuredGraph.build(4, [(0, 1), (1, 2), (2, 3)], [x + 1, 1, 1, x]))
+        # complementary halves of exactly equal mass
+        assert_matches_oracles(MeasuredGraph.build(4, [(0, 1), (1, 2), (2, 3), (3, 0)], [x, 2 * x + 1, x, 2 * x + 1]))
+        rng = random.Random(7)
+        for n in (6, 8, 10):
+            weights = [rng.randrange(1, 4) for _ in range(n // 2)] * 2
+            masses = [w * x + rng.choice((-1, 0, 0, 1)) for w in weights]
+            assert_matches_oracles(random_connected_graph(n, rng, extra_edges=0.3, measure=masses))
+
+    def test_near_ties_below_float_resolution(self):
+        # ratios that differ in the 70th bit
+        rng = random.Random(11)
+        for i in range(45):
+            n = 4 + i % 5
+            masses = [2**70 + rng.randrange(16) for _ in range(n)]
+            assert_matches_oracles(random_connected_graph(n, rng, extra_edges=0.2, measure=masses))
+
+    def test_subnormal_shadows(self):
+        # masses spanning 10^700 scale the shadows by 2^-1326 or so: the
+        # 10^83 masses land among the subnormals and the unit masses on 0;
+        # on the path {0} (shadow 0 / 0) ties {3} at ratio 1 with the
+        # smaller mask
+        assert_matches_oracles(MeasuredGraph.build(4, [(0, 1), (1, 2), (2, 3)], [1, 1, 10**700, 10**700]))
+        rng = random.Random(13)
+        scales = (1, 10**83, 10**700)
+        for i in range(12):
+            n = 4 + i % 5
+            masses = [rng.randrange(1, 9) * scales[(v + i) % 3] for v in range(n)]
+            assert_matches_oracles(random_connected_graph(n, rng, extra_edges=0.3, measure=masses))
+
+    def test_conductance_cut_far_below_volume(self):
+        # two K4s joined by bridges 10^-33 as heavy: the optimal cut is about
+        # 1e-35 of the volume, where vol - 2 a(E(A)) would cancel in floats
+        rng = random.Random(17)
+        for _ in range(4):
+            label = rng.sample(range(8), 8)
+            clusters = [(u, v) for side in (0, 4) for u in range(side, side + 4) for v in range(u + 1, side + 4)]
+            bridges = rng.sample([(u, v) for u in range(4) for v in range(4, 8)], 2)
+            heavy = Fraction(self.BIG, helpers.LARGE_PRIMES[3])
+            conductance = {(label[u], label[v]): rng.randrange(1, 9) * heavy for u, v in clusters}
+            conductance.update({(label[u], label[v]): Fraction(rng.randrange(1, 3), self.BIG) for u, v in bridges})
+            graph = MeasuredGraph.build(8, list(conductance), [rng.randrange(1, 5) for _ in range(8)])
+            walk = from_conductance(graph, conductance)
+            cert = cheeger_conductance(walk)
+            assert cert.value < Fraction(1, 10**12)
+            assert_matches_oracles(graph, walk)

@@ -21,6 +21,7 @@ from mexp import (
     SpectralResult,
     cli,
     dump_graph,
+    families,
     generalised_certificate,
 )
 from mexp.cli import main
@@ -321,6 +322,23 @@ class TestCertifyCommand:
         assert run(capsys, "certify", "--dir", fam, "--p", "2")[0] == 0
         monkeypatch.setattr(cli, "generalised_certificate", asymmetric)
         assert run(capsys, "certify", "--dir", fam, "--p", "2")[0] == 1
+
+    def test_flags_are_read_off_the_emitted_pair_measure(self, capsys, tmp_path, monkeypatch):
+        # one pair weight doubled: nu still sums to 1 on pairs beyond the
+        # cutoff, but nu(x, y) != nu(y, x)
+        pair_weights = families._pair_weights
+
+        def asymmetric(scaled, beyond):
+            far = pair_weights(scaled, beyond)
+            x, y = np.argwhere(far)[0]
+            far[x, y] *= 2
+            return far
+
+        monkeypatch.setattr(families, "_pair_weights", asymmetric)
+        code, out, _ = run(capsys, "certify", "--dir", self.c16_family(tmp_path), "--p", "2", "--emit-nu")
+        assert code == 1
+        row = report_of(out)["results"]["rows"][0]
+        assert (row["symmetric"], row["probability"], row["supported_off_cutoff"]) == (False, True, True)
 
     def test_skipped_row_flags_are_not_violations(self, capsys, tmp_path, monkeypatch):
         # a skipped member has no pair measure, so its flags are None
