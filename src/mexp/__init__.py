@@ -39,7 +39,6 @@ from .graphs import (
     load_conductance,
     load_graph,
     measure_of,
-    r_boundary,
     stats,
     vertex_boundary,
 )

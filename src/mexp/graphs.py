@@ -350,23 +350,6 @@ def vertex_boundary(graph: MeasuredGraph, subset: VertexSubset) -> VertexSubset:
     return VertexSubset(graph.n, reach & ~mask)
 
 
-def r_boundary(graph: MeasuredGraph, subset: VertexSubset, radius: int) -> VertexSubset:
-    """Vertices outside the subset at hop distance between 1 and radius of it.
-
-    At radius 1 this coincides with vertex_boundary.
-    """
-    if radius < 1:
-        raise InputError("radius must be at least 1")
-    if subset.mask == 0:
-        return VertexSubset(graph.n, 0)
-    dist = bfs_distances(graph, subset.indices())
-    mask = 0
-    for v in range(graph.n):
-        if 0 < dist[v] <= radius:
-            mask |= 1 << v
-    return VertexSubset(graph.n, mask)
-
-
 def measure_of(graph: MeasuredGraph, subset: VertexSubset) -> Fraction:
     total = Fraction(0)
     mask = subset.mask

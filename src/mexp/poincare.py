@@ -17,22 +17,24 @@ import numpy as np
 
 from .graphs import MeasuredGraph
 from .rationals import InputError
+from .spectral import delta_operator, eigenpairs
 from .walks import ReversibleWalk
 
 _SMOOTHING_EPS = 1e-9
 _STALL_WINDOW = 20
 _STALL_RTOL = 1e-12
+_BATCH_STEPS = 100
 
 
 @dataclass(frozen=True)
 class PoincareEstimate:
-    """Best energy ratio found by multi-start projected gradient descent.
+    """Best energy ratio found by optimal_lp_constant.
 
-    The estimate always equals the unsmoothed ratio at the reported
-    minimizer, so it is an upper bound on the true optimal constant.
-    `converged` means the stall test stopped the search before the
-    iteration cap; `gradient_norm` is the projected gradient norm of the
-    best restart at the final point, and `iterations` the steps taken.
+    The estimate equals the unsmoothed ratio at the minimizer, an upper bound
+    on the true constant; the ratio is even, so the minimizer is signed to
+    make its first largest-magnitude entry positive.  `converged` means the
+    Newton stop test fired before the iteration cap; `gradient_norm` is the
+    projected gradient norm there; `iterations` counts batch and Newton steps.
     """
 
     p: float
@@ -52,10 +54,11 @@ def cp_formula(c: float, p: float) -> float:
     """
     if c <= 0:
         raise InputError("Cheeger constant must be positive")
-    if not p >= 1:  # NaN fails too
-        raise InputError("p must be at least 1")
+    _check_exponent(p)
     if p < 2:
         return c * c / 2.0
+    if p >= 1023.0:
+        raise InputError(f"c_p at p = {p!r} is beyond the float range: 2^(p+1) overflows")
     base = 4.0 * c * c / (p * p * 2.0 ** (1.0 + 2.0 / p))
     return base ** (p / 2.0) / 2.0 ** (p + 1.0)
 
@@ -68,6 +71,11 @@ def kappa_constant(max_valency: int, s: float, c: float, p: float, rho_plus_at_1
     if rho_plus_at_1 < 0:
         raise InputError("rho_plus(1) must be nonnegative")
     return rho_plus_at_1 ** p * max_valency * (1.0 + s) / (s * cp_formula(c, p))
+
+
+def _check_exponent(p: float) -> None:
+    if not 1 <= p < np.inf:  # NaN fails too
+        raise InputError(f"p must be a finite number of at least 1, not {p!r}")
 
 
 # -- energies ---------------------------------------------------------------
@@ -130,8 +138,7 @@ def measured_lp_check(graph: MeasuredGraph, f: Sequence[float], p: float) -> Mea
 
 
 def _function_energies(arrays, n: int, f: Sequence[float], p: float) -> tuple[float, float]:
-    if not p >= 1:  # NaN fails too
-        raise InputError("p must be at least 1")
+    _check_exponent(p)
     vec = np.asarray(f, dtype=float)
     if vec.shape != (n,):
         raise InputError(f"function length {vec.shape} does not match {n} vertices")
@@ -143,50 +150,44 @@ def _function_energies(arrays, n: int, f: Sequence[float], p: float) -> tuple[fl
 
 
 def optimal_lp_constant(
-    walk: ReversibleWalk,
-    p: float,
-    restarts: int = 64,
-    seed: int = 0,
-    max_iters: int = 800,
+    walk: ReversibleWalk, p: float, restarts: int = 64, seed: int = 0, max_iters: int = 800
 ) -> PoincareEstimate:
-    """Multi-start projected gradient descent on the Lp energy ratio.
+    """Multi-start projected gradient descent on the Lp energy ratio, then
+    Newton steps on the best restart.
 
-    All restarts run in lockstep as a batch; steps come from backtracking
-    (halve on failure, grow on success).  For p < 2 the optimizer descends a
-    smoothed ratio (|x| ~ sqrt(x^2 + eps^2), eps = 1e-9).  The search stops
-    when the best (smoothed) ratio over the batch has fallen by at most
-    1e-12 times itself over the last 20 iterations, which reports
-    `converged`, or after max_iters iterations.  The reported estimate is
-    always the unsmoothed ratio at the final point, which keeps it a true
-    upper bound on the optimal constant.  Deterministic given the seed.
+    The batch, `restarts` seeded Gaussian rows and the delta-pencil
+    eigenvector of the first nonzero eigenvalue (the optimum at p = 2), takes
+    backtracked steps in lockstep: 100, or fewer once its best ratio falls by
+    at most 1e-12 times itself over 20.  Newton steps use the Hessian on the
+    tangent space of the sphere orthogonal to the constants: a Newton step
+    along positive curvature, the batch's gradient step elsewhere, halved
+    until the ratio falls.  They stop, reporting `converged`, once no halved
+    step lowers the ratio or one lowers it by at most 1e-14 times itself;
+    max_iters caps both phases.  For p < 2 both descend a smoothed ratio
+    (eps = 1e-9); the estimate is the unsmoothed ratio at the final point.
     """
-    if not p >= 1:  # NaN fails too
-        raise InputError("p must be at least 1")
-    if not walk.graph.connected:
-        raise InputError("optimal constant search needs a connected graph")
+    _check_exponent(p)
+    n = walk.graph.n
+    if n < 2 or not walk.graph.connected:
+        raise InputError("optimal constant search needs a connected graph on at least two vertices")
     if restarts < 1:
         raise InputError("need at least one restart")
-    n = walk.graph.n
     eu, ev, aw, pairw = _walk_arrays(walk)
     # the edge part of the ratio gradient is one product t @ incidence
-    vertices = np.arange(n)
-    incidence = (eu[:, None] == vertices).astype(float) - (ev[:, None] == vertices)
+    incidence = (eu[:, None] == np.arange(n)).astype(float) - (ev[:, None] == np.arange(n))
     arrays = (eu, ev, aw, pairw, incidence)
     eps = _SMOOTHING_EPS if p < 2 else 0.0
     rng = random.Random(seed)
-    start = np.array([[rng.gauss(0.0, 1.0) for _ in range(n)] for _ in range(restarts)])
-    F = _project(start)
+    start = [[rng.gauss(0.0, 1.0) for _ in range(n)] for _ in range(restarts)]
+    F = _project(np.array([*start, eigenpairs(delta_operator(walk))[1][:, 1]]))
     edge, pair = _energies(eu, ev, aw, pairw, F, p, eps)
     ratio = edge / pair
-    eta = np.full(restarts, 0.1)
-    history = [ratio.min()]
-    iterations, converged = 0, False
-    while True:
+    eta = np.full(len(F), 0.1)
+    history, iterations = [ratio.min()], 0
+    while iterations < min(_BATCH_STEPS, max_iters):
         grad = _ratio_gradient(arrays, F, p, eps, edge, pair)
         tangent = grad - (grad * F).sum(axis=1, keepdims=True) * F
         tangent = tangent - tangent.mean(axis=1, keepdims=True)
-        if converged or iterations >= max_iters:
-            break
         iterations += 1
         cand = _project(F - eta[:, None] * tangent)
         cand_edge, cand_pair = _energies(eu, ev, aw, pairw, cand, p, eps)
@@ -194,48 +195,66 @@ def optimal_lp_constant(
         accept = np.isfinite(cand_ratio) & (cand_ratio < ratio - 1e-15 * np.abs(ratio))
         F = np.where(accept[:, None], cand, F)
         ratio = np.where(accept, cand_ratio, ratio)
-        edge = np.where(accept, cand_edge, edge)
-        pair = np.where(accept, cand_pair, pair)
+        edge, pair = np.where(accept, cand_edge, edge), np.where(accept, cand_pair, pair)
         eta = np.clip(np.where(accept, eta * 1.25, eta * 0.5), 1e-18, 1e3)
         history.append(ratio.min())
-        fall = history[-1 - _STALL_WINDOW] - history[-1] if iterations >= _STALL_WINDOW else np.inf
-        converged = bool(fall <= _STALL_RTOL * history[-1])
-    grad_norm = np.sqrt((tangent * tangent).sum(axis=1))
-    final_edge, final_pair = _energies(eu, ev, aw, pairw, F, p, 0.0)
-    final_ratio = final_edge / final_pair
-    best = int(np.argmin(final_ratio))
+        if iterations >= _STALL_WINDOW and history[-1 - _STALL_WINDOW] - history[-1] <= _STALL_RTOL * history[-1]:
+            break
+    # both energies within 1e-150..1e150, where the gradient's squared pair energy stays finite
+    valid = (np.minimum(edge, pair) > 1e-150) & (np.maximum(edge, pair) < 1e150)
+    best = np.argmin(np.where(valid, ratio, np.inf), keepdims=True)
+    if not valid[best[0]]:
+        raise InputError(f"at p = {p!r} the energies leave the float range the search needs, 1e-150 to 1e150")
+    f, edge, pair, converged = F[best], edge[best], pair[best], False
+    backtrack = np.append(0.5 ** np.arange(40), 0.0)  # Newton step factors; the last one stays put
+    while True:
+        grad = _ratio_gradient(arrays, f, p, eps, edge, pair)[0]
+        proj = np.eye(n) - 1.0 / n - np.outer(f, f)
+        tangent = proj @ grad
+        if converged or iterations >= max_iters:
+            break
+        iterations += 1
+        hess = _ratio_hessian(arrays, f[0], p, eps, edge[0], pair[0], grad)
+        curvature, basis = np.linalg.eigh(np.einsum("ij,jk,kl->il", proj, hess, proj))
+        step = basis.T @ tangent / np.where(curvature > 1e-12 * np.abs(curvature).max(), curvature, 1.0 / eta[best])
+        cand = _project(f - backtrack[:, None] * (basis @ step))
+        cand_edge, cand_pair = _energies(eu, ev, aw, pairw, cand, p, eps)
+        ratio, cand_ratio = edge[0] / pair[0], cand_edge / cand_pair
+        fell = (np.minimum(cand_edge, cand_pair) > 1e-150) & (np.maximum(cand_edge, cand_pair) < 1e150)
+        fell &= cand_ratio < ratio - 1e-15 * ratio
+        k = np.append(np.flatnonzero(fell), -1)[:1]
+        converged = ratio - cand_ratio[k[0]] <= 1e-14 * ratio
+        f, edge, pair = cand[k], cand_edge[k], cand_pair[k]
+    final_edge, final_pair = _energies(eu, ev, aw, pairw, f, p, 0.0)
     return PoincareEstimate(
         p=float(p),
-        estimate=float(final_ratio[best]),
-        minimizer=tuple(float(x) for x in F[best]),
+        estimate=float(final_edge[0] / final_pair[0]),
+        minimizer=tuple(float(x) for x in f[0] * np.sign(f[0, np.abs(f[0]).argmax()])),
         restarts=restarts,
-        converged=converged,
-        gradient_norm=float(grad_norm[best]),
+        converged=bool(converged),
+        gradient_norm=float(np.sqrt(tangent @ tangent)),
         iterations=iterations,
     )
 
 
 def _project(F: np.ndarray) -> np.ndarray:
-    """Remove the constant component and normalize each row."""
+    """Remove the constant component and normalize each row.  No row is
+    constant: the starts are continuous draws, and every step adds a vector
+    orthogonal to its row."""
     out = F - F.mean(axis=1, keepdims=True)
-    norms = np.sqrt((out * out).sum(axis=1, keepdims=True))
-    bad = norms < 1e-12
-    if not bad.any():
-        return out / norms
-    fallback = np.zeros_like(out)
-    fallback[:, 0] = 1.0
-    fallback = fallback - fallback.mean(axis=1, keepdims=True)
-    fallback /= np.sqrt((fallback * fallback).sum(axis=1, keepdims=True))
-    return np.where(bad, fallback, out / np.where(bad, 1.0, norms))
+    return out / np.sqrt((out * out).sum(axis=1, keepdims=True))
 
 
 def _phi_prime(x: np.ndarray, p: float, eps: float) -> np.ndarray:
     if eps > 0.0:
-        sq = x * x + eps * eps
-        return p * x * sq ** ((p - 2.0) / 2.0)
-    if p == 2.0:
-        return 2.0 * x
+        return p * x * (x * x + eps * eps) ** ((p - 2.0) / 2.0)
     return p * np.sign(x) * np.abs(x) ** (p - 1.0)
+
+
+def _phi_second(x: np.ndarray, p: float, eps: float) -> np.ndarray:
+    if eps > 0.0:
+        return p * (x * x + eps * eps) ** (p / 2.0 - 2.0) * ((p - 1.0) * x * x + eps * eps)
+    return p * (p - 1.0) * np.abs(x) ** (p - 2.0)
 
 
 def _ratio_gradient(arrays, F, p, eps, edge, pair):
@@ -246,3 +265,13 @@ def _ratio_gradient(arrays, F, p, eps, edge, pair):
     grad_pair = 2.0 * np.einsum("ruv,uv->ru", _phi_prime(diff, p, eps), pairw)
     return (grad_edge * pair[:, None] - edge[:, None] * grad_pair) / (pair * pair)[:, None]
 
+
+def _ratio_hessian(arrays, f, p, eps, edge, pair, grad):
+    """Hessian (H_E - r H_P - dP grad^T - grad dP^T) / P of r = E/P at one
+    point f, given E, P and the ratio gradient there."""
+    eu, ev, aw, pairw, incidence = arrays
+    diff = f[:, None] - f[None, :]
+    k = pairw * _phi_second(diff, p, eps) * ~np.eye(len(f), dtype=bool)
+    cross = np.outer(2.0 * (pairw * _phi_prime(diff, p, eps)).sum(axis=1), grad)
+    hess_edge = np.einsum("ei,e,ej->ij", incidence, 2.0 * aw * _phi_second(f[eu] - f[ev], p, eps), incidence)
+    return (hess_edge - 2.0 * edge / pair * (np.diag(k.sum(axis=1)) - k) - cross - cross.T) / pair

@@ -17,7 +17,6 @@ from mexp import (
     dump_graph,
     load_conductance,
     load_graph,
-    r_boundary,
     stats,
     vertex_boundary,
 )
@@ -159,22 +158,6 @@ class TestBoundaries:
         g = make_complete(4)
         assert vertex_boundary(g, subset(g, 0)).indices() == [1, 2, 3]
 
-    def test_r_boundary_radius_one_matches(self):
-        rng = random.Random(7)
-        for _ in range(20):
-            g = helpers.rand_connected(rng, 2, 9)
-            a = VertexSubset(g.n, rng.randrange(0, 1 << g.n))
-            assert r_boundary(g, a, 1).mask == vertex_boundary(g, a).mask
-
-    def test_cycle_r2(self):
-        g = make_cycle(6)
-        assert r_boundary(g, subset(g, 0), 2).indices() == [1, 2, 4, 5]
-
-    def test_saturation_at_diameter(self):
-        g = make_cycle(7)
-        a = subset(g, 0, 1)
-        assert r_boundary(g, a, diameter(g)).mask == ((1 << g.n) - 1) & ~a.mask
-
     @settings(max_examples=25, deadline=None)
     @given(st.integers(0, 10 ** 9))
     def test_boundary_invariants(self, seed):
@@ -183,8 +166,6 @@ class TestBoundaries:
         a = VertexSubset(g.n, rng.randrange(0, 1 << g.n))
         vb = vertex_boundary(g, a)
         assert vb.mask & a.mask == 0
-        for radius in range(1, 4):
-            assert vb.mask & ~r_boundary(g, a, radius).mask == 0 or a.mask == 0
         rest = ((1 << g.n) - 1) & ~a.mask
         crossing = [(u, v) for u, v in g.edges if (a.mask >> u & 1) != (a.mask >> v & 1)]
         assert crossing == [(u, v) for u, v in g.edges if (rest >> u & 1) != (rest >> v & 1)]

@@ -25,7 +25,7 @@ from mexp import (
     optimal_lp_constant,
 )
 from mexp.families import make_cycle
-from mexp.poincare import _ratio_gradient
+from mexp.poincare import _ratio_gradient, _ratio_hessian
 
 
 def k2_walk(a=Fraction(1)):
@@ -51,6 +51,17 @@ class TestCpFormula:
             cp_formula(0.0, 2.0)
         with pytest.raises(ValueError):
             cp_formula(1.0, 0.5)
+
+    @pytest.mark.parametrize("p", [math.inf, math.nan])
+    def test_non_finite_exponent_rejected(self, p):
+        w = k2_walk()
+        for call in (
+            lambda: cp_formula(1.0, p),
+            lambda: lp_energy_pair(w, [0.0, 1.0], p),
+            lambda: optimal_lp_constant(w, p, restarts=2),
+        ):
+            with pytest.raises(ValueError, match="finite number of at least 1"):
+                call()
 
 
 class TestKappa:
@@ -218,6 +229,55 @@ class TestOptimizer:
                 assert est.estimate <= reference * (1 + 1e-9), (i, p)
                 if p == 2.0:
                     assert est.converged and est.iterations < 800, (i, est.iterations)
+
+    def test_newton_finish_loses_nothing_against_the_fixed_budget(self):
+        # walks shaped like the benchmark's optimizer ops: n = 6..12, random
+        # conductances, 64 restarts, the exponent cycling through 1.5, 2, 3
+        rng = random.Random(14)
+        for i in range(12):
+            w = helpers.rand_walk(rng, 6 + i % 7, 6 + i % 7)
+            p = (1.5, 2.0, 3.0)[i % 3]
+            est = optimal_lp_constant(w, p, restarts=64, seed=i)
+            reference, _ = oracles.fixed_budget_lp_constant(w, p, restarts=64, seed=i, iters=800)
+            assert est.estimate <= reference * (1 + 1e-12), (i, p, est.estimate / reference - 1)
+
+    def test_delta_start_row_converges_at_p2(self):
+        rng = random.Random(15)
+        for i in range(8):
+            w = helpers.rand_walk(rng, 3, 12)
+            est = optimal_lp_constant(w, 2.0, restarts=16, seed=i)
+            assert est.converged and est.iterations <= 25, (i, est.iterations)
+            assert est.estimate == pytest.approx(delta_gap(w), rel=1e-9)
+
+    def test_minimizer_sign_is_canonical(self):
+        rng = random.Random(16)
+        for i, p in enumerate((1.5, 2.0, 3.0)):
+            w = helpers.rand_walk(rng, 4, 9)
+            f = optimal_lp_constant(w, p, restarts=8, seed=i).minimizer
+            top = max(range(len(f)), key=lambda v: (abs(f[v]), -v))
+            assert f[top] > 0, (p, f)
+
+    @pytest.mark.parametrize("p", [1.5, 2.0, 3.0])
+    def test_hessian_matches_central_differences(self, p):
+        rng = random.Random(17)
+        eps = 1e-9 if p < 2 else 0.0
+        for _ in range(4):
+            w = helpers.rand_walk(rng, 9, 12)
+            n = w.graph.n
+            eu, ev, aw, pairw = oracles.lp_walk_arrays(w)
+            incidence = np.zeros((len(eu), n))
+            incidence[np.arange(len(eu)), eu] += 1.0
+            incidence[np.arange(len(eu)), ev] -= 1.0
+            arrays = (eu, ev, aw, pairw, incidence)
+            f = np.array([rng.gauss(0.0, 1.0) for _ in range(n)])
+            h = 1e-6  # central differences err by O(h^2 / gap^3); the smallest gap here is 8.9e-4
+            F = np.vstack([f, f + h * np.eye(n), f - h * np.eye(n)])
+            edge, pair = oracles.lp_energies(arrays[:4], F, p, eps)
+            grads = _ratio_gradient(arrays, F, p, eps, edge, pair)
+            numeric = (grads[1 : n + 1] - grads[n + 1 :]) / (2.0 * h)
+            got = _ratio_hessian(arrays, f, p, eps, edge[0], pair[0], grads[0])
+            assert np.abs(got - got.T).max() <= 1e-12 * np.abs(got).max()
+            assert np.abs(got - numeric).max() <= 1e-6 * np.abs(got).max(), p
 
     def test_max_iters_caps_the_search(self):
         w = helpers.rand_walk(random.Random(12), 6, 9)
