@@ -43,7 +43,6 @@ from .graphs import (
     vertex_boundary,
 )
 from .inequalities import (
-    AuxiliaryWalkReport,
     BoundCheck,
     InequalityReport,
     distance_gap_bound,

@@ -1,23 +1,25 @@
 """Command-line front end.
 
 Every subcommand is a thin adapter over the library: it loads inputs, calls
-one operation, and prints a JSON report to stdout.  The results of spectrum,
-poincare, family and certify are the library's result dataclasses rendered
-field by field: rationals as "p/q" strings, pair keys as "x,y", and six
-fields under the paper's symbols (size as n, max_valency as K, ratio_bound
-as s, peak_fraction as gamma, ghostly_verdict as ghostly, pair_measure as
-nu).  spectrum adds the operator name, and its zero_multiplicity is the
-graph's component count; certify emits nu only with --emit-nu and never on
-a skipped member.  Exit codes: 0 on success (including "inequality holds"),
-1 when a verified inequality is violated (a bug sentinel, since these are
-proved statements), 2 on bad input (a usage error, an unreadable or
-malformed file, an argument outside its domain, or a graph beyond the
-enumeration cap), 3 on any other exception, an internal fault whose
-traceback goes to stderr, 4 when certify tested no map on any member (an
-untested certificate).  A reader that closes the pipe early ends the
-output quietly, with the command's own code.  Each subcommand declares only
-the options its handler reads; randomized commands take an explicit --seed
-and default to 0, and no entropy is drawn from the environment.
+one operation, and prints a JSON report to stdout.  The results of
+spectrum, poincare, verify, family and certify are the library's result
+dataclasses rendered field by field, through one serializer: rationals (an
+exact side of a verify check among them) as "p/q" strings, floats as JSON
+numbers, pair keys as "x,y", and six fields under the paper's symbols (size
+as n, max_valency as K, ratio_bound as s, peak_fraction as gamma,
+ghostly_verdict as ghostly, pair_measure as nu).  spectrum adds the
+operator name, and its zero_multiplicity is the graph's component count;
+certify emits nu only with --emit-nu and never on a skipped member.  Exit
+codes: 0 on success (including "inequality holds"), 1 when a verified
+inequality is violated (a bug sentinel, since these are proved statements),
+2 on bad input (a usage error, an unreadable or malformed file, an argument
+outside its domain, or a graph beyond the enumeration cap), 3 on any other
+exception, an internal fault whose traceback goes to stderr, 4 when certify
+tested no map on any member (an untested certificate).  A reader that
+closes the pipe early ends the output quietly, with the command's own code.
+Each subcommand declares only the options its handler reads; randomized
+commands take an explicit --seed and default to 0, and no entropy is drawn
+from the environment.
 """
 
 from __future__ import annotations
@@ -45,15 +47,7 @@ from .families import (
     generate,
 )
 from .graphs import MeasuredGraph, VertexSubset, dump_graph, load_conductance, load_graph
-from .inequalities import (
-    distance_gap_bound,
-    verify_cheeger_sandwich,
-    verify_coarea,
-    verify_gap_controls,
-    verify_lp_poincare,
-    verify_measured_sandwich,
-    verify_poincare_to_cheeger,
-)
+from .inequalities import DEFAULT_TOLERANCE, THEOREMS
 from .poincare import optimal_lp_constant
 from .rationals import InputError, format_rational, parse_rational
 from .spectral import delta_operator, lambda_operator, spectrum
@@ -117,7 +111,7 @@ def _build_parser() -> argparse.ArgumentParser:
         return value
 
     def tolerance(p):
-        p.add_argument("--tolerance", type=slack, default=1e-8, help="float comparison slack")
+        p.add_argument("--tolerance", type=slack, default=DEFAULT_TOLERANCE, help="float comparison slack")
 
     def seed(p):
         p.add_argument("--seed", type=int, default=0)
@@ -142,19 +136,7 @@ def _build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("verify", help="check a named expansion inequality")
     p.add_argument("--input", required=True)
-    p.add_argument(
-        "--theorem",
-        required=True,
-        choices=[
-            "cheeger-sandwich",
-            "measured-sandwich",
-            "gap-controls",
-            "distance-bound",
-            "poincare-to-cheeger",
-            "coarea",
-            "lp-poincare",
-        ],
-    )
+    p.add_argument("--theorem", required=True, choices=THEOREMS)
     p.add_argument("--p", type=float, default=2.0, help="exponent for lp-poincare")
     p.add_argument("--trials", type=int, default=200, help="random functions for coarea / lp-poincare")
     p.add_argument("--set-a", default=None, help="comma-separated vertex labels")
@@ -302,36 +284,19 @@ def _cmd_poincare(args):
 
 def _cmd_verify(args):
     graph, conductance = _read_document(args.input)
-    theorem = args.theorem
-    if theorem == "cheeger-sandwich":
-        report = verify_cheeger_sandwich(_walk_for(graph, conductance), cap=args.cap, tol=args.tolerance)
-    elif theorem == "measured-sandwich":
-        report = verify_measured_sandwich(graph, cap=args.cap, tol=args.tolerance)
-    elif theorem == "gap-controls":
-        report = verify_gap_controls(graph, tol=args.tolerance)
-    elif theorem == "poincare-to-cheeger":
-        report = verify_poincare_to_cheeger(graph, cap=args.cap, tol=args.tolerance)
-    elif theorem == "distance-bound":
-        walk = _walk_for(graph, conductance)
+    verifier, on_walk, names = THEOREMS[args.theorem]
+    subject = _walk_for(graph, conductance) if on_walk else graph
+    options = {"p": args.p, "trials": args.trials, "seed": args.seed, "cap": args.cap, "tol": args.tolerance}
+    if args.theorem == "distance-bound":
         if args.set_a is None and args.set_b is None:
-            set_a, set_b = _random_disjoint_pair(graph, args.seed)
+            options["set_a"], options["set_b"] = _random_disjoint_pair(graph, args.seed)
         elif args.set_a is None or args.set_b is None:
             raise InputError("distance-bound needs both --set-a and --set-b, or neither")
         else:
-            set_a, set_b = _resolve_labels(graph, args.set_a), _resolve_labels(graph, args.set_b)
-        report = distance_gap_bound(walk, set_a, set_b, tol=args.tolerance)
-    elif theorem == "coarea":
-        report = verify_coarea(_walk_for(graph, conductance), trials=args.trials, seed=args.seed)
-    else:
-        report = verify_lp_poincare(
-            _walk_for(graph, conductance),
-            args.p,
-            trials=args.trials,
-            seed=args.seed,
-            cap=args.cap,
-            tol=args.tolerance,
-        )
-    return (0 if report.holds else 1), report.as_dict()
+            options["set_a"] = _resolve_labels(graph, args.set_a)
+            options["set_b"] = _resolve_labels(graph, args.set_b)
+    report = verifier(subject, **{name: options[name] for name in names})
+    return (0 if report.holds else 1), report
 
 
 def _random_disjoint_pair(graph: MeasuredGraph, seed: int):

@@ -1,14 +1,20 @@
-"""One verifier per named expansion inequality.
+"""One verifier per named expansion inequality, and one table of them.
 
 Each verifier recomputes its inputs from scratch, evaluates both sides, and
-reports a verdict.  Tolerance policy: every bound lhs <= rhs is decided in
-floats as lhs <= rhs + tol, an exact rational side (a Cheeger value or a
-bound built from it) being converted to float first.  The slack only ever
-helps a check pass: it excuses float noise, and with it any true violation
-smaller than tol.  Two verifiers decide exactly: coarea compares its
-level-set identity in integers over one common denominator, and the
-auxiliary-walk verifier compares rationals only.  Both trial verifiers need
-at least one trial.
+reports a verdict.  Sides are kept exact: a Cheeger value or a bound built
+from it is a Fraction, a count is an int, and only a side that involves a
+spectral gap, an energy or c_p is a float.  Every bound lhs <= rhs is
+decided as lhs <= rhs + tol, and Python compares a Fraction with a float
+exactly, so tol matters only where a side is a float: there the slack only
+ever helps a check pass, excusing float noise and with it any true
+violation smaller than tol.  Two verifiers decide exactly with no slack:
+coarea compares its level-set identity in integers over one common
+denominator, and the auxiliary-walk verifier compares counts and
+rationals.  Both trial verifiers need at least one trial.
+
+THEOREMS maps each theorem name to its verifier, whether the verifier
+takes the walk (True) or the graph (False), and the keyword options it
+reads; the CLI takes its --theorem choices and its dispatch from it.
 """
 
 from __future__ import annotations
@@ -22,7 +28,7 @@ from typing import Sequence
 import numpy as np
 
 from .cheeger import DEFAULT_CAP, cheeger_conductance, cheeger_vertex
-from .graphs import GraphStats, MeasuredGraph, VertexSubset, bfs_distances, stats
+from .graphs import MeasuredGraph, VertexSubset, bfs_distances, stats
 from .poincare import _energies, _walk_arrays, cp_formula
 from .rationals import InputError, format_rational
 from .spectral import coarea_check, delta_gap, measured_gap
@@ -33,41 +39,29 @@ DEFAULT_TOLERANCE = 1e-8
 
 @dataclass(frozen=True)
 class BoundCheck:
-    """One inequality lhs <= rhs, evaluated with favorable-only slack."""
+    """One inequality lhs <= rhs; a rational side stays a Fraction."""
 
     label: str
-    lhs: float
-    rhs: float
-    slack: float
+    lhs: Fraction | int | float
+    rhs: Fraction | int | float
+    slack: Fraction | int | float
     holds: bool
 
 
 @dataclass(frozen=True)
 class InequalityReport:
     name: str
-    checks: tuple[BoundCheck, ...]
     holds: bool
+    checks: tuple[BoundCheck, ...]
     inputs: dict
 
     def as_dict(self) -> dict:
-        return {
-            "name": self.name,
-            "holds": self.holds,
-            "checks": [
-                {
-                    "label": c.label,
-                    "lhs": repr(c.lhs),
-                    "rhs": repr(c.rhs),
-                    "slack": repr(c.slack),
-                    "holds": c.holds,
-                }
-                for c in self.checks
-            ],
-            "inputs": self.inputs,
-        }
+        """A shallow dict of the fields, kept only because perfbench/workloads.py
+        calls it; it goes with the next benchmark change."""
+        return dict(vars(self))
 
 
-def _check(label: str, lhs: float, rhs: float, tol: float) -> BoundCheck:
+def _check(label: str, lhs: Fraction | float, rhs: Fraction | float, tol: float) -> BoundCheck:
     return BoundCheck(label=label, lhs=lhs, rhs=rhs, slack=rhs - lhs, holds=lhs <= rhs + tol)
 
 
@@ -96,8 +90,8 @@ def verify_cheeger_sandwich(
     c = cert.value
     gap = delta_gap(walk)
     checks = (
-        _check("c^2/2 <= gap", float(c * c / 2), gap, tol),
-        _check("gap <= 2c", gap, float(2 * c), tol),
+        _check("c^2/2 <= gap", c * c / 2, gap, tol),
+        _check("gap <= 2c", gap, 2 * c, tol),
     )
     return _report(
         "cheeger-sandwich",
@@ -123,8 +117,8 @@ def verify_measured_sandwich(
     lower = c * c * s ** 3 * (1 + s) / (2 * big_k ** 3)
     upper = 2 * (1 + s) * big_k * c / s
     checks = (
-        _check("c^2 s^3 (1+s) / (2 K^3) <= gap", float(lower), gap, tol),
-        _check("gap <= 2 (1+s) K c / s", gap, float(upper), tol),
+        _check("c^2 s^3 (1+s) / (2 K^3) <= gap", lower, gap, tol),
+        _check("gap <= 2 (1+s) K c / s", gap, upper, tol),
     )
     return _report(
         "measured-sandwich",
@@ -191,7 +185,7 @@ def distance_gap_bound(
     rhs = (1 / mu_a + 1 / mu_b) * between
     gap = delta_gap(walk)
     lhs = gap * rho * rho
-    checks = (_check("gap * d(A,B)^2 <= (1/mu(A)+1/mu(B)) a(E - E_A - E_B)", lhs, float(rhs), tol),)
+    checks = (_check("gap * d(A,B)^2 <= (1/mu(A)+1/mu(B)) a(E - E_A - E_B)", lhs, rhs, tol),)
     return _report(
         "distance-bound",
         checks,
@@ -215,7 +209,7 @@ def verify_poincare_to_cheeger(
     c = cheeger_vertex(graph, cap=cap).value
     gap = measured_gap(graph)
     floor = float(s / (2 * (1 + s) * big_k)) * gap
-    checks = (_check("s gap / (2(1+s)K) <= cheeger", floor, float(c), tol),)
+    checks = (_check("s gap / (2(1+s)K) <= cheeger", floor, c, tol),)
     return _report(
         "poincare-to-cheeger",
         checks,
@@ -230,63 +224,30 @@ def verify_poincare_to_cheeger(
     )
 
 
-@dataclass(frozen=True)
-class AuxiliaryWalkReport:
-    """Exact verification of the defining and derived properties of the
-    auxiliary walk on a bounded-ratio measured graph.
-
-    conductance_matches   a(u,v) = m(u) + m(v) on every edge
-    support_matches       r(u,v) > 0 exactly on edges
-    measure_sandwich      s/(K(1+s)) mu(u) <= m(u) <= mu(u)/(1+s) for all u
-    cheeger_bound_holds   conductance Cheeger constant >= c s / K
-    """
-
-    conductance_matches: bool
-    support_matches: bool
-    measure_sandwich: bool
-    cheeger_bound_holds: bool
-    conductance_cheeger: Fraction
-    cheeger_floor: Fraction
-    vertex_cheeger: Fraction
-    graph_stats: GraphStats
-
-    @property
-    def all_hold(self) -> bool:
-        return (
-            self.conductance_matches
-            and self.support_matches
-            and self.measure_sandwich
-            and self.cheeger_bound_holds
-        )
-
-
-def verify_auxiliary_walk(graph: MeasuredGraph, cap: int = DEFAULT_CAP) -> AuxiliaryWalkReport:
-    """Check the four auxiliary-walk conditions in exact rational arithmetic."""
+def verify_auxiliary_walk(graph: MeasuredGraph, cap: int = DEFAULT_CAP) -> InequalityReport:
+    """The auxiliary walk's four conditions on a bounded-ratio measured graph,
+    decided exactly: a(u,v) = m(u) + m(v) on every edge; a(u,v) > 0 exactly
+    on edges; s/(K(1+s)) mu(u) <= m(u) <= mu(u)/(1+s) for all u; and the
+    conductance Cheeger constant in m is at least c s / K."""
     walk = auxiliary_walk(graph)  # refuses a measure without full support, so s is defined
-    st = stats(graph)
-    s, big_k = st.ratio_bound, st.max_valency
-
-    conductance_matches = all(
-        walk.a[(u, v)] == graph.measure[u] + graph.measure[v] for u, v in graph.edges
-    )
-    support_matches = set(walk.a) == set(graph.edges) and all(v > 0 for v in walk.a.values())
+    s, big_k = _ratio_data(graph)
+    m = graph.measure
     lo = s / (big_k * (1 + s))
-    hi = Fraction(1, 1) / (1 + s)
-    measure_sandwich = all(
-        lo * walk.mu[u] <= graph.measure[u] <= hi * walk.mu[u] for u in range(graph.n)
+    hi = 1 / (1 + s)
+    c = cheeger_vertex(graph, cap=cap).value
+    mismatched = sum(walk.a[(u, v)] != m[u] + m[v] for u, v in graph.edges)
+    unsupported = len(set(walk.a) ^ set(graph.edges)) + sum(a <= 0 for a in walk.a.values())
+    outside = sum(not lo * walk.mu[u] <= m[u] <= hi * walk.mu[u] for u in range(graph.n))
+    checks = (
+        _check("mismatched edge conductances == 0", mismatched, 0, 0),
+        _check("support mismatches == 0", unsupported, 0, 0),
+        _check("vertices outside the measure sandwich == 0", outside, 0, 0),
+        _check("c s / K <= conductance cheeger", c * s / big_k, cheeger_conductance(walk, m, cap=cap).value, 0),
     )
-    vertex_cert = cheeger_vertex(graph, cap=cap)
-    cond_cert = cheeger_conductance(walk, graph.measure, cap=cap)
-    floor = vertex_cert.value * s / big_k
-    return AuxiliaryWalkReport(
-        conductance_matches=conductance_matches,
-        support_matches=support_matches,
-        measure_sandwich=measure_sandwich,
-        cheeger_bound_holds=cond_cert.value >= floor,
-        conductance_cheeger=cond_cert.value,
-        cheeger_floor=floor,
-        vertex_cheeger=vertex_cert.value,
-        graph_stats=st,
+    return _report(
+        "auxiliary-walk",
+        checks,
+        {"n": graph.n, "cheeger": format_rational(c), "s": format_rational(s), "K": big_k},
     )
 
 
@@ -304,7 +265,7 @@ def verify_coarea(walk: ReversibleWalk, trials: int = 100, seed: int = 0) -> Ine
         f = [Fraction(rng.randrange(0, 16), rng.randrange(1, 8)) for _ in range(walk.graph.n)]
         if not coarea_check(walk, f).equal:
             mismatches += 1
-    checks = (_check("level-set identity mismatches == 0", float(mismatches), 0.0, 0.0),)
+    checks = (_check("level-set identity mismatches == 0", mismatches, 0, 0),)
     return _report(
         "coarea",
         checks,
@@ -345,3 +306,15 @@ def verify_lp_poincare(
             "tolerance": tol,
         },
     )
+
+
+THEOREMS = {
+    "cheeger-sandwich": (verify_cheeger_sandwich, True, ("cap", "tol")),
+    "measured-sandwich": (verify_measured_sandwich, False, ("cap", "tol")),
+    "gap-controls": (verify_gap_controls, False, ("tol",)),
+    "distance-bound": (distance_gap_bound, True, ("set_a", "set_b", "tol")),
+    "poincare-to-cheeger": (verify_poincare_to_cheeger, False, ("cap", "tol")),
+    "coarea": (verify_coarea, True, ("trials", "seed")),
+    "lp-poincare": (verify_lp_poincare, True, ("p", "trials", "seed", "cap", "tol")),
+    "auxiliary-walk": (verify_auxiliary_walk, False, ("cap",)),
+}

@@ -56,11 +56,15 @@ def cp_formula(c: float, p: float) -> float:
         raise InputError("Cheeger constant must be positive")
     _check_exponent(p)
     if p < 2:
-        return c * c / 2.0
-    if p >= 1023.0:
+        value = c * c / 2.0
+    elif p >= 1023.0:
         raise InputError(f"c_p at p = {p!r} is beyond the float range: 2^(p+1) overflows")
-    base = 4.0 * c * c / (p * p * 2.0 ** (1.0 + 2.0 / p))
-    return base ** (p / 2.0) / 2.0 ** (p + 1.0)
+    else:
+        base = 4.0 * c * c / (p * p * 2.0 ** (1.0 + 2.0 / p))
+        value = base ** (p / 2.0) / 2.0 ** (p + 1.0)
+    if value == 0.0:
+        raise InputError(f"c_p at p = {p!r} is beyond the float range: it underflows to 0.0")
+    return value
 
 
 def kappa_constant(max_valency: int, s: float, c: float, p: float, rho_plus_at_1: float) -> float:

@@ -100,7 +100,7 @@ def test_accept_03_auxiliary_walk_conditions():
         rng = random.Random(30_000 + i)
         g = helpers.rand_connected(rng, 3, 12, measured=True)
         report = verify_auxiliary_walk(g)
-        if not report.all_hold:
+        if not report.holds:
             violations += 1
     _finish(
         3,

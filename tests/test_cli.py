@@ -16,6 +16,7 @@ import pytest
 from mexp import (
     FamilyReport,
     GeneralisedCertificate,
+    InequalityReport,
     MeasuredGraph,
     PoincareEstimate,
     SpectralResult,
@@ -26,6 +27,7 @@ from mexp import (
 )
 from mexp.cli import main
 from mexp.families import CertificateRow, make_cycle, probability_counting_measure, random_regular
+from mexp.inequalities import THEOREMS
 import random
 
 
@@ -145,6 +147,7 @@ class TestVerifyCommand:
             "poincare-to-cheeger",
             "coarea",
             "lp-poincare",
+            "auxiliary-walk",
         ],
     )
     def test_holds_exits_zero(self, capsys, c6_file, theorem):
@@ -152,7 +155,9 @@ class TestVerifyCommand:
         assert code == 0
         assert report_of(out)["results"]["holds"] is True
 
-    @pytest.mark.parametrize("theorem", ["measured-sandwich", "gap-controls", "poincare-to-cheeger"])
+    @pytest.mark.parametrize(
+        "theorem", ["measured-sandwich", "gap-controls", "poincare-to-cheeger", "auxiliary-walk"]
+    )
     def test_partial_support_exits_two(self, capsys, tmp_path, theorem):
         path = tmp_path / "k2.json"
         path.write_text(dump_graph(MeasuredGraph.build(2, [(0, 1)], [1, 0])), encoding="utf-8")
@@ -400,6 +405,98 @@ GOLDEN_DOCUMENT = """{
   "conductance": [["a", "b", "1"], ["b", "c", "1/3"], ["c", "d", "2"], ["d", "a", "5/4"], ["a", "c", "1/7"]]
 }"""
 
+# Each theorem of the table on GOLDEN_DOCUMENT: its options, its checks as
+# (label, lhs, rhs, slack), all holding, and its inputs.  A rational side
+# renders as "p/q", a float side as a JSON number and a count as an int;
+# inputs keep their own rendering (gaps as repr strings)
+GOLDEN_VERIFY = {
+    "cheeger-sandwich": (
+        [],
+        [
+            ("c^2/2 <= gap", "21025/195938", 0.7059414246435105, 0.5986370732670547),
+            ("gap <= 2c", 0.7059414246435105, "290/313", 0.22057614724147356),
+        ],
+        {"n": 4, "cheeger": "145/313", "witness": ["a", "b"], "gap": "0.7059414246435105", "tolerance": 1e-08},
+    ),
+    "measured-sandwich": (
+        [],
+        [
+            ("c^2 s^3 (1+s) / (2 K^3) <= gap", "343/2519424", 5.378773970295792, 5.378637828066457),
+            ("gap <= 2 (1+s) K c / s", 5.378773970295792, "49", 43.62122602970421),
+        ],
+        {"n": 4, "cheeger": "7/6", "s": "1/6", "K": 3, "gap": "5.378773970295792", "tolerance": 1e-08},
+    ),
+    "gap-controls": (
+        [],
+        [
+            ("s(1+s)/K * gap' <= gap", 0.06421152871921755, 5.378773970295792, 5.314562441576574),
+            ("gap <= K^2(1+s)/s^2 * gap'", 5.378773970295792, 374.4816354904767, 369.1028615201809),
+        ],
+        {
+            "n": 4,
+            "s": "1/6",
+            "K": 3,
+            "gap": "5.378773970295792",
+            "aux_gap": "0.9906921573822136",
+            "tolerance": 1e-08,
+        },
+    ),
+    "distance-bound": (
+        ["--set-a", "a", "--set-b", "c"],
+        [
+            (
+                "gap * d(A,B)^2 <= (1/mu(A)+1/mu(B)) a(E - E_A - E_B)",
+                0.7059414246435105,
+                "162373/41808",
+                3.1778367996197883,
+            ),
+        ],
+        {
+            "n": 4,
+            "set_a": ["a"],
+            "set_b": ["c"],
+            "distance": 1,
+            "gap": "0.7059414246435105",
+            "rhs": "162373/41808",
+            "tolerance": 1e-08,
+        },
+    ),
+    "poincare-to-cheeger": (
+        [],
+        [("s gap / (2(1+s)K) <= cheeger", 0.12806604691180457, "7/6", 1.0386006197548623)],
+        {"n": 4, "cheeger": "7/6", "s": "1/6", "K": 3, "gap": "5.378773970295792", "tolerance": 1e-08},
+    ),
+    "coarea": (
+        ["--trials", "5", "--seed", "0"],
+        [("level-set identity mismatches == 0", 0, 0, 0)],
+        {"n": 4, "trials": 5, "seed": 0, "mismatches": 0},
+    ),
+    "lp-poincare": (
+        ["--trials", "5", "--seed", "0"],
+        [("c_p <= min energy ratio", 0.0067065219610284894, 1.0710880917835433, 1.0643815698225148)],
+        {
+            "n": 4,
+            "p": 2.0,
+            "cheeger": "145/313",
+            "c_p": "0.0067065219610284894",
+            "min_ratio": "1.0710880917835433",
+            "trials": 5,
+            "seed": 0,
+            "tolerance": 1e-08,
+        },
+    ),
+    "auxiliary-walk": (
+        [],
+        [
+            ("mismatched edge conductances == 0", 0, 0, 0),
+            ("support mismatches == 0", 0, 0, 0),
+            ("vertices outside the measure sandwich == 0", 0, 0, 0),
+            ("c s / K <= conductance cheeger", "7/108", "7/11", "679/1188"),
+        ],
+        {"n": 4, "cheeger": "7/6", "s": "1/6", "K": 3},
+    ),
+}
+
 CAP_ERROR = (
     "exact mode infeasible: 8 vertices exceed the enumeration cap 6 (2^8 subsets); "
     "raise the cap only if the runtime is acceptable"
@@ -425,8 +522,8 @@ def assert_same(got, expected, where="results"):
 
 
 class TestGoldenResults:
-    """Every rendered result of spectrum, poincare, family and certify,
-    pinned value for value."""
+    """Every rendered result of spectrum, poincare, verify, family and
+    certify, pinned value for value."""
 
     @pytest.fixture
     def document(self, tmp_path):
@@ -476,6 +573,22 @@ class TestGoldenResults:
                 "eigenvalues": [0.0, 5.378773970295792, 9.335121055258096, 11.95277164111278],
                 "gap": 5.378773970295792,
                 "zero_multiplicity": 1,
+            },
+        )
+
+    @pytest.mark.parametrize("theorem", list(THEOREMS))
+    def test_verify(self, capsys, document, theorem):
+        options, checks, inputs = GOLDEN_VERIFY[theorem]
+        assert_same(
+            self.results(capsys, "verify", "--input", document, "--theorem", theorem, *options),
+            {
+                "name": theorem,
+                "holds": True,
+                "checks": [
+                    {"label": label, "lhs": lhs, "rhs": rhs, "slack": slack, "holds": True}
+                    for label, lhs, rhs, slack in checks
+                ],
+                "inputs": inputs,
             },
         )
 
@@ -616,7 +729,7 @@ class TestGoldenResults:
 
 def rendered_dataclasses():
     """The result dataclasses that commands return, and those nested in their fields."""
-    todo, seen = [SpectralResult, PoincareEstimate, FamilyReport, GeneralisedCertificate], []
+    todo, seen = [SpectralResult, PoincareEstimate, InequalityReport, FamilyReport, GeneralisedCertificate], []
     while todo:
         item = todo.pop()
         todo.extend(typing.get_args(item))  # tuple[FamilyRow, ...] -> FamilyRow
@@ -632,6 +745,8 @@ class TestResultVocabulary:
         assert {c.__name__ for c in classes} == {
             "SpectralResult",
             "PoincareEstimate",
+            "InequalityReport",
+            "BoundCheck",
             "FamilyReport",
             "FamilyRow",
             "GeneralisedCertificate",
@@ -734,6 +849,21 @@ class TestExitCodes:
         assert code == 2 and out == ""
         assert err.startswith("mexp: error:") and message in err, err
 
+    def test_lp_poincare_floor_underflow_exits_two(self, capsys, c6_file):
+        # c_p rounds to 0.0 here; the report used to compare 0.0 with a NaN
+        # ratio and exit 1
+        code, out, err = run(capsys, "verify", "--input", c6_file, "--theorem", "lp-poincare", "--p", "800")
+        assert code == 2 and out == ""
+        assert err.startswith("mexp: error:") and "underflows" in err, err
+
+    def test_certify_floor_underflow_exits_two(self, capsys, tmp_path):
+        # kappa used to divide by the c_p that rounded to 0.0 (exit 3)
+        for n in (40, 48):
+            (tmp_path / f"c{n}.json").write_text(dump_graph(make_cycle(n)), encoding="utf-8")
+        code, out, err = run(capsys, "certify", "--dir", str(tmp_path), "--p", "200")
+        assert code == 2 and out == ""
+        assert err.startswith("mexp: error:") and "underflows" in err, err
+
     def test_non_utf8_input_exits_two(self, capsys, tmp_path):
         path = tmp_path / "latin1.json"
         path.write_bytes(b'{"vertices": [{"id": "\xe9", "m": "1"}]}')
@@ -787,6 +917,10 @@ class TestOptions:
             source = inspect.getsource(p.get_default("handler"))
             unread = [a.dest for a in options_of(p) if f"args.{a.dest}" not in source]
             assert not unread, f"{name}: {unread}"
+
+    def test_theorem_choices_are_the_table(self):
+        theorem = next(a for a in options_of(subparsers()["verify"]) if a.dest == "theorem")
+        assert list(theorem.choices) == list(THEOREMS)
 
     @pytest.mark.parametrize(
         "argv",

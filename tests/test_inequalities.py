@@ -42,6 +42,10 @@ class TestCheegerSandwich:
         assert lower.rhs == pytest.approx(0.5, abs=1e-9)
         assert upper.rhs == pytest.approx(2 / 3)
 
+    def test_rational_side_is_exact(self):
+        lower = verify_cheeger_sandwich(auxiliary_walk(make_cycle(6))).checks[0]
+        assert lower.lhs == Fraction(1, 18)  # c^2/2, not its float
+
     def test_k2_upper_equality(self):
         report = verify_cheeger_sandwich(auxiliary_walk(k2()))
         assert report.holds
@@ -245,8 +249,10 @@ class TestSuiteVerifiers:
     def test_reports_serialize(self):
         import json
 
+        from mexp.cli import _jsonable
+
         report = verify_measured_sandwich(make_cycle(5))
-        text = json.dumps(report.as_dict())
+        text = json.dumps(_jsonable(report))
         assert "measured-sandwich" in text
 
 

@@ -158,22 +158,24 @@ class TestAuxiliaryConditions:
     def test_cycle_counting_measure(self):
         g = make_cycle(6)
         report = verify_auxiliary_walk(g)
-        assert report.conductance_matches and report.support_matches
-        assert report.measure_sandwich  # mu/4 <= m <= mu/2 reads 1 <= 1 <= 2
-        assert report.conductance_cheeger == Fraction(1, 3)
-        assert report.cheeger_floor == Fraction(1, 3)  # equality case c s / K
-        assert report.cheeger_bound_holds and report.all_hold
+        conductances, support, sandwich, bound = report.checks
+        assert conductances.lhs == 0 and conductances.holds
+        assert support.lhs == 0 and support.holds
+        assert sandwich.lhs == 0 and sandwich.holds  # mu/4 <= m <= mu/2 reads 1 <= 1 <= 2
+        assert bound.rhs == Fraction(1, 3)  # the conductance Cheeger constant
+        assert bound.lhs == Fraction(1, 3)  # equality case c s / K
+        assert bound.holds and report.holds
 
     def test_k2_counting(self):
         report = verify_auxiliary_walk(k2())
-        assert report.all_hold
-        assert report.vertex_cheeger == 1
+        assert report.holds
+        assert report.inputs["cheeger"] == "1"
 
     def test_random_instances_hold(self):
         rng = random.Random(21)
         for _ in range(25):
             g = helpers.rand_connected(rng, 2, 9, measured=True)
-            assert verify_auxiliary_walk(g).all_hold
+            assert verify_auxiliary_walk(g).holds
 
 
 class TestHeatKernel:
