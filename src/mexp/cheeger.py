@@ -20,17 +20,18 @@ P[c'] with c' the rest of the column half.  When the conductance constraint
 is mu itself, feasibility is tested on vol, a multiple of mu.
 
 Widths and shadows.  The exact tables are float64 while the scaled totals
-are below 2^53, int64 below 2^62 and Python ints beyond, and the block loop
-runs on float64 shadows of them: below 2^62 the exact table itself, beyond
-it exact * 2^-shift, correctly rounded, with the shift that keeps every
-entry below 2^1000.  No block-sized array of Python ints is formed; only
-band entries and candidates are looked up in the exact tables.  With u =
-2^-53 a shadow sum of two entries lies within (1+u)^2 of the exact one, so
-the float decides feasibility outside a relative band of 2^-50 around each
-limit, and the entries inside the band are checked exactly.  Ratios are
-ranked by float num/den; every candidate within a relative margin of the
-least float ratio so far is kept, so nothing outside it can be a minimizer
-or tie with one, given a margin above the square of the ratio's error F:
+are below 2^53, int64 below 2^62 and Python ints beyond; each width is the
+faster path on a stored benchmark slot.  The block loop runs on float64
+shadows: below 2^62 the exact table itself, beyond it exact * 2^-shift,
+correctly rounded, with the shift that keeps every entry below 2^1000.  No
+block-sized array of Python ints is formed; only band entries and
+candidates are looked up in the exact tables.  With u = 2^-53 a shadow sum
+of two entries lies within (1+u)^2 of the exact one, so the float decides
+feasibility outside a relative band of 2^-50 around each limit, and the
+entries inside the band are checked exactly.  Ratios are ranked by float
+num/den; every candidate within a relative margin of the least float ratio
+so far is kept, so nothing outside it can be a minimizer or tie with one,
+given a margin above the square of the ratio's error F:
 
   vertex, profile   num and den sum two entries rounded once each (int64:
                     num and den are rounded once), F = ((1+u)/(1-u))^3,
@@ -350,12 +351,21 @@ def _minimize_ratio(halves: _Halves, feas_lo: int, feas_hi: int, feas, den, nume
     h = halves.h
     low = (1 << h) - 1
     (flo_x, fhi_x), (flo, fhi) = feas
+    (dlo_x, dhi_x), (dlo, dhi) = feas if den is None else den
     lo_in, hi_in, lo_out, hi_out = halves.limits(feas_lo, feas_hi)
-    margin, tiny = halves.margin, halves.tiny
+    margin = halves.margin
     step = max(1, (1 << _BLOCK_BITS) >> h)
     visit, bound = np.arange(fhi.size), None
     if halves.order is not None:
-        bound = _row_bounds(halves, feas_lo, feas_hi, feas, den, row_num)
+        # row bound: row_num over the row's largest den, capped by feas_hi when den is feas; 0 where
+        # that den is 0 or has no error bound, inf on rows with no feasible mask beyond the band
+        dmax = dhi + dlo[-1]
+        if den is None:
+            dmax = np.minimum(dmax, feas_hi / (1 << halves.shift))
+        with np.errstate(all="ignore"):
+            bound, unsure = _ranked(halves, row_num(), dmax)
+        bound[dmax <= 0 if unsure is None else unsure] = 0.0
+        bound[(fhi > hi_out) | (fhi + flo[-1] < lo_out)] = np.inf
         visit = np.argsort(bound, kind="stable")
         bound = bound[visit]
     best, found = np.inf, []
@@ -377,18 +387,12 @@ def _minimize_ratio(halves: _Halves, feas_lo: int, feas_hi: int, feas, den, nume
         if not idx.size:
             continue
         r, c = idx >> h, idx & low
-        d = fm.ravel()[idx] if den is None else den[1][0][c] + den[1][1][rows[r]]
+        d = fm.ravel()[idx] if den is None else dlo[c] + dhi[rows[r]]
         num = numerator(rows, r, c, False)
-        if tiny:  # ranked as ratio * 2^shift; no error bound below tiny: settled exactly
-            with np.errstate(all="ignore"):
-                d = np.ldexp(d, -halves.shift)
-                ratio = num / d
-            unsure = (np.minimum(num, d) < tiny) | ~(ratio >= tiny)
-            best = min(best, np.where(unsure, np.inf, ratio).min())
+        ratio, unsure = _ranked(halves, num, d)
+        best = min(best, (ratio if unsure is None else np.where(unsure, np.inf, ratio)).min())
+        if unsure is not None:  # kept with ratio -1: settled exactly, never the incumbent
             ratio[unsure] = -1.0
-        else:
-            ratio = num / d
-            best = min(best, ratio.min())
         keep = np.flatnonzero(ratio <= best * margin)
         found.append((rows[r[keep]] << h | c[keep], ratio[keep], num[keep], d[keep]))
     if not found:
@@ -400,9 +404,19 @@ def _minimize_ratio(halves: _Halves, feas_lo: int, feas_hi: int, feas, den, nume
         mask, num, d = mask[keep], num[keep], d[keep]
     if halves.rounded:  # the candidates' exact terms, from the exact tables
         rows, cols = mask >> h, mask & low
-        dlo, dhi = (feas if den is None else den)[0]
-        num, d = numerator(rows, np.arange(mask.size), cols, True), dlo[cols] + dhi[rows]
+        num, d = numerator(rows, np.arange(mask.size), cols, True), dlo_x[cols] + dhi_x[rows]
     return _settle(num, d, halves.original(mask))
+
+
+def _ranked(halves: _Halves, num, den):
+    """Float ratios num/den, scaled by 2^shift past 2^1000, and the mask of those
+    whose num, den or ratio is below tiny and so has no error bound (None below 2^1000)."""
+    if not halves.tiny:
+        return num / den, None
+    with np.errstate(all="ignore"):
+        den = np.ldexp(den, -halves.shift)
+        ratio = num / den
+    return ratio, (np.minimum(num, den) < halves.tiny) | ~(ratio >= halves.tiny)
 
 
 def _settle(num, den, mask):
@@ -422,31 +436,6 @@ def _settle(num, den, mask):
             live = np.concatenate([np.where(first, a, b), live[2 * half :]])
         k = live[0]
     return int(num[k]), int(den[k]), int(mask[k])
-
-
-def _row_bounds(halves: _Halves, feas_lo: int, feas_hi: int, feas, den, row_num):
-    """Float lower bound on the ratio over each row, from the shadows: row_num
-    over the largest den in the row, capped by feas_hi when den is feas; 0
-    where that largest den or the bound is 0 or tiny, and inf on rows with no
-    feasible mask, beyond the feasibility band."""
-    flo, fhi = feas[1]
-    dlo, dhi = (feas if den is None else den)[1]
-    lo_out, hi_out = halves.limits(feas_lo, feas_hi)[2:]
-    dmax = dhi + dlo[-1]
-    if den is None:
-        dmax = np.minimum(dmax, feas_hi / (1 << halves.shift))
-    num = row_num()
-    if halves.tiny:  # scaled like the ratios; 0 where the shadows carry no error bound
-        with np.errstate(all="ignore"):
-            dmax = np.ldexp(dmax, -halves.shift)
-            bound = num / dmax
-        bound[(np.minimum(num, dmax) < halves.tiny) | ~(bound >= halves.tiny)] = 0.0
-    else:
-        positive = dmax > 0
-        bound = np.zeros(fhi.size)
-        bound[positive] = num[positive] / dmax[positive]
-    bound[(fhi > hi_out) | (fhi + flo[-1] < lo_out)] = np.inf
-    return bound
 
 
 def _boundary(halves: _Halves, tables, reach):

@@ -355,14 +355,7 @@ def _cmd_certify(args):
 
 
 def _cmd_generate(args):
-    params = {}
-    if args.n is not None:
-        params["n"] = args.n
-    if args.k is not None:
-        params["k"] = args.k
-    if args.d is not None:
-        params["d"] = args.d
-    graph = generate(args.kind, measure=args.measure, seed=args.seed, **params)
+    graph = generate(args.kind, measure=args.measure, seed=args.seed, n=args.n, k=args.k, d=args.d)
     return 0, dump_graph(graph)
 
 

@@ -22,7 +22,7 @@ from .cheeger import (
     NoFeasibleSubset,
     cheeger_vertex,
 )
-from .graphs import MeasuredGraph, VertexSubset, diameter, stats
+from .graphs import MeasuredGraph, VertexSubset, diameter, measure_of, stats
 from .poincare import kappa_constant
 from .rationals import InputError, scaled_integers
 from .spectral import measured_gap
@@ -246,9 +246,9 @@ def full_support_perturbation(
     holes = graph.measure.count(0)
     if not holes:
         raise InputError("measure already has full support; nothing to perturb")
-    if bad_set.mask & ~graph.support_mask:
+    if any(graph.measure[v] == 0 for v in bad_set.indices()):
         raise InputError("bad set must lie inside the support")
-    mass = sum((graph.measure[v] for v in bad_set.indices()), Fraction(0))
+    mass = measure_of(graph, bad_set)
     if not 0 < mass <= Fraction(1, 2):
         raise InputError(f"bad set needs 0 < mu(A) <= 1/2, got {mass}")
     shift = mass / n
@@ -549,12 +549,9 @@ def generalised_certificate(
 
 
 def _is_probability(values) -> bool:
-    """Whether nonnegative Fractions sum to exactly 1, summed in integers
-    over the lcm of their denominators."""
-    values = list(values)
-    common = math.lcm(*{v.denominator for v in values})
-    total = sum(v.numerator * (common // v.denominator) for v in values)
-    return all(v.numerator >= 0 for v in values) and total == common
+    """Whether nonnegative Fractions sum to exactly 1, summed in integers."""
+    scaled, scale = scaled_integers(values)
+    return all(v >= 0 for v in scaled) and sum(scaled) == scale
 
 
 def _pair_weights(scaled, beyond) -> np.ndarray:

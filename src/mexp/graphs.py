@@ -175,14 +175,6 @@ class MeasuredGraph:
         components."""
         return tuple(tuple(bfs_distances(self, (v,))) for v in range(self.n))
 
-    @cached_property
-    def support_mask(self) -> int:
-        m = 0
-        for v, mv in enumerate(self.measure):
-            if mv > 0:
-                m |= 1 << v
-        return m
-
     def degree(self, v: int) -> int:
         return len(self.neighbors[v])
 

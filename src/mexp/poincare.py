@@ -61,7 +61,10 @@ def cp_formula(c: float, p: float) -> float:
         raise InputError(f"c_p at p = {p!r} is beyond the float range: 2^(p+1) overflows")
     else:
         base = 4.0 * c * c / (p * p * 2.0 ** (1.0 + 2.0 / p))
-        value = base ** (p / 2.0) / 2.0 ** (p + 1.0)
+        try:
+            value = base ** (p / 2.0) / 2.0 ** (p + 1.0)
+        except OverflowError:
+            raise InputError(f"c_p at p = {p!r} is beyond the float range: base^(p/2) overflows") from None
     if value == 0.0:
         raise InputError(f"c_p at p = {p!r} is beyond the float range: it underflows to 0.0")
     return value
@@ -74,7 +77,10 @@ def kappa_constant(max_valency: int, s: float, c: float, p: float, rho_plus_at_1
         raise InputError("need valency bound >= 1 and s in (0, 1]")
     if rho_plus_at_1 < 0:
         raise InputError("rho_plus(1) must be nonnegative")
-    return rho_plus_at_1 ** p * max_valency * (1.0 + s) / (s * cp_formula(c, p))
+    kappa = rho_plus_at_1 ** p * max_valency * (1.0 + s) / (s * cp_formula(c, p))
+    if kappa == np.inf:
+        raise InputError(f"kappa at p = {p!r} is beyond the float range: it overflows to infinity")
+    return kappa
 
 
 def _check_exponent(p: float) -> None:

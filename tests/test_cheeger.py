@@ -354,15 +354,16 @@ class TestTieRule:
 def width_graph(rng, n, width):
     """Random connected graph whose scaled masses take the float53, int64 or
     bigint path; "shifted" masses span 10^310, so that ratios are ranked
-    scaled by a power of two."""
+    scaled by a power of two, and "subnormal" masses span 10^700, so that
+    many shadows are 0 or subnormal and carry no error bound."""
     if width == "float53":
         masses = [Fraction(rng.randrange(1, 10), rng.randrange(1, 10)) for _ in range(n)]
     elif width == "int64":
         masses = [rng.randrange(1 << 53, 1 << 54) for _ in range(n)]
     else:
         masses = [Fraction(rng.randrange(1, 50), helpers.LARGE_PRIMES[v % 4]) for v in range(n)]
-        if width == "shifted":
-            masses = [m * 10 ** (310 * (v % 3 == 0)) for v, m in enumerate(masses)]
+        power = {"shifted": 310, "subnormal": 700}.get(width, 0)
+        masses = [m * 10 ** (power * (v % 3 == 0)) for v, m in enumerate(masses)]
     return random_connected_graph(n, rng, extra_edges=0.2, measure=masses)
 
 
@@ -385,7 +386,7 @@ class TestRowPruning:
     raised) visits every mask in ascending order."""
 
     @pytest.mark.parametrize("flavor", ["vertex", "conductance", "profile"])
-    @pytest.mark.parametrize("width, n", [("float53", 20), ("float53", 19), ("int64", 19), ("int64", 20), ("bigint", 17), ("bigint", 18), ("shifted", 17)])
+    @pytest.mark.parametrize("width, n", [("float53", 20), ("float53", 19), ("int64", 19), ("int64", 20), ("bigint", 17), ("bigint", 18), ("shifted", 17), ("subnormal", 17)])
     def test_matches_one_block_engine(self, monkeypatch, width, n, flavor):
         graph = width_graph(random.Random(f"{width}-{n}-{flavor}"), n, width)
         pruned = minimizers(graph, flavor)

@@ -26,7 +26,7 @@ from mexp import (
     generalised_certificate,
 )
 from mexp.cli import main
-from mexp.families import CertificateRow, make_cycle, probability_counting_measure, random_regular
+from mexp.families import CertificateRow, make_complete, make_cycle, probability_counting_measure, random_regular
 from mexp.inequalities import THEOREMS
 import random
 
@@ -788,6 +788,11 @@ class TestGenerate:
         code, _, _ = run(capsys, "generate", "nonsense")
         assert code == 2
 
+    def test_missing_parameter_exits_two(self, capsys):
+        code, out, err = run(capsys, "generate", "random_regular", "--n", "10")
+        assert code == 2 and out == ""
+        assert "generator 'random_regular' needs parameter k" in err, err
+
 
 class TestDeterminism:
     def test_rational_fields_reproduce_bit_for_bit(self, capsys, c6_file):
@@ -863,6 +868,24 @@ class TestExitCodes:
         code, out, err = run(capsys, "certify", "--dir", str(tmp_path), "--p", "200")
         assert code == 2 and out == ""
         assert err.startswith("mexp: error:") and "underflows" in err, err
+
+    def test_certify_floor_overflow_exits_two(self, capsys, tmp_path):
+        # the vertex Cheeger floor of K2 with masses 1 and 10000 is 10000, and
+        # base^(p/2) in c_p used to raise OverflowError (exit 3)
+        (tmp_path / "k2.json").write_text(dump_graph(make_complete(2).with_measure([1, 10000])), encoding="utf-8")
+        code, out, err = run(capsys, "certify", "--dir", str(tmp_path), "--p", "500")
+        assert code == 2 and out == ""
+        assert err.startswith("mexp: error:") and "float range" in err and "c_p" in err, err
+
+    def test_certify_kappa_overflow_exits_two(self, capsys, tmp_path):
+        # a small but representable c_p made kappa infinite, and certify
+        # printed "kappa": Infinity with a vacuous bound (exit 0)
+        for n in (40, 48):
+            graph = make_cycle(n).with_measure([1000 ** (v % 2) for v in range(n)])
+            (tmp_path / f"c{n}.json").write_text(dump_graph(graph), encoding="utf-8")
+        code, out, err = run(capsys, "certify", "--dir", str(tmp_path), "--p", "46")
+        assert code == 2 and out == ""
+        assert err.startswith("mexp: error:") and "float range" in err and "kappa" in err, err
 
     def test_non_utf8_input_exits_two(self, capsys, tmp_path):
         path = tmp_path / "latin1.json"
