@@ -42,11 +42,12 @@ given a margin above the square of the ratio's error F:
 
 Below 2^53 every sum is exact and the ratio correctly rounded, so there is
 no band and the margin, 1 + 2^-48 for every flavor, only admits near-ties.
-Beyond 2^1000 ratios are ranked scaled by 2^shift, and a shadow below
-2^-1000 (subnormal entries arise once the scaled total exceeds about 2^2022)
-carries no relative bound: a candidate whose num, den or ratio is that small
-is always settled exactly, and such a row gets bound 0.  Settlement gathers
-the exact num and den of the candidates alone and runs a knockout of
+Beyond 2^1000 a shadow below 2^-1000 (subnormal entries arise once the
+scaled total exceeds about 2^2022) carries no relative bound: a candidate
+whose num, den or ratio is that small is always settled exactly, and such a
+row gets bound 0.  A quotient that rounds to inf exceeded the largest float,
+so the margin argument ranks it above any finite incumbent.  Settlement
+gathers the exact num and den of the candidates alone and runs a knockout of
 Python-int cross-multiplications, one vectorized step per round; exact ties
 break toward the smallest mask in the original labels, all mapped back at
 once, so neither the relabelling nor the visit order can change the witness.
@@ -409,12 +410,11 @@ def _minimize_ratio(halves: _Halves, feas_lo: int, feas_hi: int, feas, den, nume
 
 
 def _ranked(halves: _Halves, num, den):
-    """Float ratios num/den, scaled by 2^shift past 2^1000, and the mask of those
-    whose num, den or ratio is below tiny and so has no error bound (None below 2^1000)."""
+    """Float ratios num/den of the shadows, and the mask of those whose num, den
+    or ratio is below tiny and so has no error bound (None below 2^1000)."""
     if not halves.tiny:
         return num / den, None
     with np.errstate(all="ignore"):
-        den = np.ldexp(den, -halves.shift)
         ratio = num / den
     return ratio, (np.minimum(num, den) < halves.tiny) | ~(ratio >= halves.tiny)
 

@@ -16,7 +16,7 @@ from typing import Sequence
 import numpy as np
 
 from .graphs import MeasuredGraph
-from .rationals import InputError
+from .rationals import InputError, scaled_floats
 from .spectral import delta_operator, eigenpairs
 from .walks import ReversibleWalk
 
@@ -77,7 +77,8 @@ def kappa_constant(max_valency: int, s: float, c: float, p: float, rho_plus_at_1
         raise InputError("need valency bound >= 1 and s in (0, 1]")
     if rho_plus_at_1 < 0:
         raise InputError("rho_plus(1) must be nonnegative")
-    kappa = rho_plus_at_1 ** p * max_valency * (1.0 + s) / (s * cp_formula(c, p))
+    with np.errstate(over="ignore"):  # rho(1)^p past the largest float is inf, refused below
+        kappa = float(np.float64(rho_plus_at_1) ** p * max_valency * (1.0 + s) / (s * cp_formula(c, p)))
     if kappa == np.inf:
         raise InputError(f"kappa at p = {p!r} is beyond the float range: it overflows to infinity")
     return kappa
@@ -92,15 +93,15 @@ def _check_exponent(p: float) -> None:
 
 
 def _walk_arrays(walk: ReversibleWalk):
-    """Edge ends, conductances and the pair weights mu(u)mu(v)/mu(V) of a walk."""
-    return _arrays(walk.graph, [walk.a[e] for e in walk.graph.edges], walk.mu, walk.total_mu)
+    """Edge ends, conductances and pair weights mu(u)mu(v)/mu(V) of a walk, both weights times 2^-shift."""
+    return _arrays(walk.graph, [walk.a[e] for e in walk.graph.edges], walk.mu, walk.total_mu)[0]
 
 
 def _arrays(graph: MeasuredGraph, edge_weights, weights, total):
-    eu = np.array([u for u, _ in graph.edges], dtype=np.intp)
-    ev = np.array([v for _, v in graph.edges], dtype=np.intp)
-    w = np.array([float(x) for x in weights])
-    return eu, ev, np.array([float(x) for x in edge_weights]), np.outer(w, w) / float(total)
+    eu, ev = np.array(graph.edges, dtype=np.intp).reshape(-1, 2).T
+    x, shift = scaled_floats([*edge_weights, *weights, total])
+    w = x[len(edge_weights) : -1]
+    return (eu, ev, x[: len(edge_weights)], np.outer(w, w) / x[-1]), shift
 
 
 def _energies(eu, ev, aw, pairw, F: np.ndarray, p: float, eps: float = 0.0):
@@ -117,7 +118,7 @@ def _magnitude(x: np.ndarray, eps: float) -> np.ndarray:
 
 def lp_energy_pair(walk: ReversibleWalk, f: Sequence[float], p: float) -> tuple[float, float]:
     """(edge energy, pair energy) of a single function, ordered-pair convention."""
-    return _function_energies(_walk_arrays(walk), walk.graph.n, f, p)
+    return _function_energies(walk.graph, [walk.a[e] for e in walk.graph.edges], walk.mu, walk.total_mu, f, p)
 
 
 def lp_energy_ratio(walk: ReversibleWalk, f: Sequence[float], p: float) -> float:
@@ -141,18 +142,19 @@ def measured_lp_check(graph: MeasuredGraph, f: Sequence[float], p: float) -> Mea
     if 0 in graph.measure:
         raise InputError(f"vertex {graph.labels[graph.measure.index(0)]!r} has zero measure")
     aw = [graph.measure[u] + graph.measure[v] for u, v in graph.edges]
-    lhs, rhs = _function_energies(_arrays(graph, aw, graph.measure, graph.total_measure), graph.n, f, p)
+    lhs, rhs = _function_energies(graph, aw, graph.measure, graph.total_measure, f, p)
     if rhs == 0.0:
         raise InputError("constant function: pair energy vanishes")
     return MeasuredEnergyCheck(lhs=lhs, rhs=rhs, ratio=lhs / rhs)
 
 
-def _function_energies(arrays, n: int, f: Sequence[float], p: float) -> tuple[float, float]:
+def _function_energies(graph, edge_weights, weights, total, f: Sequence[float], p: float) -> tuple[float, float]:
     _check_exponent(p)
     vec = np.asarray(f, dtype=float)
-    if vec.shape != (n,):
-        raise InputError(f"function length {vec.shape} does not match {n} vertices")
-    edge, pair = _energies(*arrays, vec[None, :], p)
+    if vec.shape != (graph.n,):
+        raise InputError(f"function length {vec.shape} does not match {graph.n} vertices")
+    arrays, shift = _arrays(graph, edge_weights, weights, total)
+    edge, pair = np.ldexp(_energies(*arrays, vec[None, :], p), shift)
     return float(edge[0]), float(pair[0])
 
 
@@ -190,11 +192,14 @@ def optimal_lp_constant(
     rng = random.Random(seed)
     start = [[rng.gauss(0.0, 1.0) for _ in range(n)] for _ in range(restarts)]
     F = _project(np.array([*start, eigenpairs(delta_operator(walk))[1][:, 1]]))
-    edge, pair = _energies(eu, ev, aw, pairw, F, p, eps)
-    ratio = edge / pair
+    with np.errstate(all="ignore"):  # at an extreme p no start row's energies are in range
+        edge, pair = _energies(eu, ev, aw, pairw, F, p, eps)
+        ratio = edge / pair
     eta = np.full(len(F), 0.1)
     history, iterations = [ratio.min()], 0
-    while iterations < min(_BATCH_STEPS, max_iters):
+    # energies within 1e-150..1e150 keep the gradient finite; with no such start row the batch is skipped
+    valid = (np.minimum(edge, pair) > 1e-150) & (np.maximum(edge, pair) < 1e150)
+    while valid.any() and iterations < min(_BATCH_STEPS, max_iters):
         grad = _ratio_gradient(arrays, F, p, eps, edge, pair)
         tangent = grad - (grad * F).sum(axis=1, keepdims=True) * F
         tangent = tangent - tangent.mean(axis=1, keepdims=True)
@@ -210,7 +215,6 @@ def optimal_lp_constant(
         history.append(ratio.min())
         if iterations >= _STALL_WINDOW and history[-1 - _STALL_WINDOW] - history[-1] <= _STALL_RTOL * history[-1]:
             break
-    # both energies within 1e-150..1e150, where the gradient's squared pair energy stays finite
     valid = (np.minimum(edge, pair) > 1e-150) & (np.maximum(edge, pair) < 1e150)
     best = np.argmin(np.where(valid, ratio, np.inf), keepdims=True)
     if not valid[best[0]]:

@@ -10,6 +10,8 @@ from __future__ import annotations
 import math
 from fractions import Fraction
 
+import numpy as np
+
 
 class InputError(ValueError):
     """Bad input: a malformed document, an invalid parameter or an argument
@@ -63,3 +65,19 @@ def scaled_integers(values) -> tuple[list[int], int]:
     values = [v if type(v) is Fraction else Fraction(v) for v in values]  # Fraction(v) copies
     scale = math.lcm(*(v.denominator for v in values))
     return [v.numerator * (scale // v.denominator) for v in values], scale
+
+
+def scaled_floats(values) -> tuple[np.ndarray, int]:
+    """Floats of nonnegative rationals times 2^-shift, each rounded once, and the even shift (sqrt scales exactly):
+    0 while the largest is in 2^-256..2^256, else one bringing it near 1; refuses any left below 2^-1000."""
+    shift = 0
+    try:
+        out = np.array([float(v) for v in values])
+    except OverflowError:  # a value past the largest float
+        out = np.array([np.inf])
+    if not 2.0**-256 <= out.max(initial=0.0) <= 2.0**256:
+        shift = max((v.numerator.bit_length() - v.denominator.bit_length() for v in values if v), default=0) & ~1
+        out = np.array([float(v / Fraction(2) ** shift) for v in values])
+    if any(values[i] for i in np.flatnonzero(out < 2.0**-1000)):
+        raise InputError(f"values span beyond the float range: one lies below 2^-1000 at the scale 2^{-shift}")
+    return out, shift

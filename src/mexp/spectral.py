@@ -17,9 +17,9 @@ L[u,v] = -w(u,v) and L[u,u] = sum_v w(u,v).
       over functions with sum f(v) m(v) = 0.
 
 The pencil is reduced by D^(-1/2) conjugation and diagonalized with LAPACK's
-symmetric eigensolver (numpy.linalg.eigh).  Float conversion of the rational
-inputs happens exactly once, here; the co-area check below stays exact, in
-integers over one common denominator.
+symmetric eigensolver (numpy.linalg.eigh).  The rationals become floats once,
+in rationals.scaled_floats, whose power-of-two scale moves no eigenvalue; the
+co-area check below stays exact, in integers over one common denominator.
 """
 
 from __future__ import annotations
@@ -31,13 +31,13 @@ from typing import Sequence
 import numpy as np
 
 from .graphs import MeasuredGraph
-from .rationals import InputError, scaled_integers
+from .rationals import InputError, scaled_floats, scaled_integers
 from .walks import ReversibleWalk
 
 
 @dataclass(frozen=True)
 class SelfAdjointOperator:
-    """Symmetric pencil (stiffness, diagonal mass) of a graph operator.
+    """Symmetric pencil (stiffness, diagonal mass) of a graph operator, both maybe times 2^-shift (scaled_floats).
 
     components is the number of connected components of the weighted graph;
     with positive weights it is exactly the dimension of the kernel.
@@ -76,9 +76,8 @@ def delta_operator(walk: ReversibleWalk) -> SelfAdjointOperator:
 
 def lambda_operator(graph: MeasuredGraph) -> SelfAdjointOperator:
     """Pencil whose smallest positive eigenvalue is the measured spectral gap."""
-    for v, m in enumerate(graph.measure):
-        if m == 0:
-            raise InputError(f"vertex {graph.labels[v]!r} has zero measure")
+    if 0 in graph.measure:
+        raise InputError(f"vertex {graph.labels[graph.measure.index(0)]!r} has zero measure")
     if not graph.connected:
         raise InputError("the measured spectral gap is defined for connected graphs")
     m = graph.measure
@@ -88,13 +87,12 @@ def lambda_operator(graph: MeasuredGraph) -> SelfAdjointOperator:
 def _pencil(kind: str, n: int, edges, weights, mass, components: int) -> SelfAdjointOperator:
     """Weighted graph Laplacian of the edge weights, diagonal the row sums,
     with the given diagonal mass and the graph's component count."""
+    scaled, _ = scaled_floats([*weights, *mass])
+    u, v = np.array(edges, dtype=np.intp).reshape(-1, 2).T
     stiff = np.zeros((n, n))
-    if edges:
-        u, v = np.array(edges).T
-        w = np.array([float(x) for x in weights])
-        stiff[u, v] = stiff[v, u] = -w
+    stiff[u, v] = stiff[v, u] = -scaled[: len(weights)]
     stiff[np.diag_indices(n)] = -stiff.sum(axis=1)
-    return SelfAdjointOperator(kind, stiff, np.array([float(x) for x in mass]), components)
+    return SelfAdjointOperator(kind, stiff, scaled[len(weights) :], components)
 
 
 def eigenpairs(op: SelfAdjointOperator):

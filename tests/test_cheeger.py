@@ -353,7 +353,7 @@ class TestTieRule:
 
 def width_graph(rng, n, width):
     """Random connected graph whose scaled masses take the float53, int64 or
-    bigint path; "shifted" masses span 10^310, so that ratios are ranked
+    bigint path; "shifted" masses span 10^310, so that the shadows are
     scaled by a power of two, and "subnormal" masses span 10^700, so that
     many shadows are 0 or subnormal and carry no error bound."""
     if width == "float53":
@@ -421,6 +421,20 @@ class TestRowPruning:
         assert sum(visited) < 2 ** 10 // 2  # of 2^10 rows: 3 blocks of 64 here, 10 unpruned
         monkeypatch.setattr(cheeger, "_BLOCK_BITS", 40)
         assert cheeger_vertex(graph) == pruned
+
+    def test_shadow_ratios_rank_past_a_shift_of_1024(self, monkeypatch):
+        # the shifts here are about 1588: ratios ranked times 2^shift would all be inf
+        settled = []
+        settle = cheeger._settle
+
+        def counting(num, den, mask):
+            settled.append(mask.size)
+            return settle(num, den, mask)
+
+        monkeypatch.setattr(cheeger, "_settle", counting)
+        graph = width_graph(random.Random("subnormal-17-conductance"), 17, "subnormal")
+        minimizers(graph, "conductance")
+        assert len(settled) == 2 and max(settled) <= 100
 
 
 TWIN_SCALE = Fraction(helpers.LARGE_PRIMES[4], helpers.LARGE_PRIMES[2])  # (2^127 - 1) / (2^89 - 1)

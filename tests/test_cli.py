@@ -137,6 +137,51 @@ class TestSpectrumCommand:
         assert report_of(out)["results"]["gap"] == pytest.approx(2.0, abs=1e-9)
 
 
+SCALED_COMMANDS = [
+    ["spectrum", "--operator", "delta"],
+    ["spectrum", "--operator", "lambda"],
+    ["poincare", "--p", "2"],
+    ["verify", "--theorem", "lp-poincare"],
+    ["verify", "--theorem", "gap-controls"],
+]
+
+
+class TestScaledMasses:
+    """C6 with every mass multiplied by one constant has the counting
+    measure's spectra, energy ratios and verdicts, also where the masses
+    themselves leave the float range."""
+
+    def headline(self, argv, results):
+        if argv[0] == "verify":
+            return [results["holds"], *(side for check in results["checks"] for side in (check["lhs"], check["rhs"]))]
+        return results["gap" if argv[0] == "spectrum" else "estimate"]
+
+    @pytest.mark.parametrize(
+        "mass",
+        [Fraction(10**310), Fraction(1, 10**400), Fraction(10**200), Fraction(1, 10**200)],
+        ids=["1e310", "1e-400", "1e200", "1e-200"],
+    )
+    @pytest.mark.parametrize("argv", SCALED_COMMANDS, ids=" ".join)
+    def test_scaled_masses_give_the_counting_results(self, capsys, tmp_path, c6_file, mass, argv):
+        # these used to exit 3 (OverflowError), 2 (a positive mass read as 0.0),
+        # 1 (a NaN energy ratio), or 0 with an infinite min_ratio
+        path = tmp_path / "scaled.json"
+        path.write_text(dump_graph(make_cycle(6).with_measure([mass] * 6)), encoding="utf-8")
+        code, out, err = run(capsys, argv[0], "--input", str(path), *argv[1:])
+        assert code == 0, err
+        scaled = json.loads(out, parse_constant=lambda name: pytest.fail(f"non-finite {name} in the report"))["results"]
+        plain = report_of(run(capsys, argv[0], "--input", c6_file, *argv[1:])[1])["results"]
+        assert self.headline(argv, scaled) == pytest.approx(self.headline(argv, plain), rel=1e-12)
+
+    @pytest.mark.parametrize("argv", SCALED_COMMANDS, ids=" ".join)
+    def test_masses_beyond_the_float_range_exit_two(self, capsys, tmp_path, argv):
+        path = tmp_path / "span.json"
+        path.write_text(dump_graph(make_cycle(6).with_measure([2**1100, 1, 1, 1, 1, 1])), encoding="utf-8")
+        code, out, err = run(capsys, argv[0], "--input", str(path), *argv[1:])
+        assert code == 2 and out == ""
+        assert err.startswith("mexp: error:") and "float range" in err and "2^-1000" in err, err
+
+
 class TestVerifyCommand:
     @pytest.mark.parametrize(
         "theorem",
@@ -884,6 +929,17 @@ class TestExitCodes:
             graph = make_cycle(n).with_measure([1000 ** (v % 2) for v in range(n)])
             (tmp_path / f"c{n}.json").write_text(dump_graph(graph), encoding="utf-8")
         code, out, err = run(capsys, "certify", "--dir", str(tmp_path), "--p", "46")
+        assert code == 2 and out == ""
+        assert err.startswith("mexp: error:") and "float range" in err and "kappa" in err, err
+
+    def test_certify_rho_power_overflow_exits_two(self, capsys, tmp_path):
+        # rho(1)^p raised OverflowError in kappa (exit 3)
+        fam = tmp_path / "fam"
+        fam.mkdir()
+        (fam / "g0.json").write_text(dump_graph(make_cycle(16, probability_counting_measure(16))), encoding="utf-8")
+        rho = tmp_path / "rho.json"
+        rho.write_text("[0, 1e10, 1e10]", encoding="utf-8")
+        code, out, err = run(capsys, "certify", "--dir", str(fam), "--rho", str(rho), "--p", "40")
         assert code == 2 and out == ""
         assert err.startswith("mexp: error:") and "float range" in err and "kappa" in err, err
 
