@@ -128,11 +128,15 @@ _HARD_CAP = 48  # 2^48 subsets is already years of enumeration; also keeps masks
 
 
 def _check_cap(n: int, cap: int):
-    if n > min(cap, _HARD_CAP):
+    if n > _HARD_CAP and cap >= _HARD_CAP:
+        raise ExactModeInfeasible(
+            f"exact mode infeasible: {n} vertices exceed the engine's own limit of "
+            f"{_HARD_CAP} vertices (2^{n} subsets), which no cap raises"
+        )
+    if n > cap:
         raise ExactModeInfeasible(
             f"exact mode infeasible: {n} vertices exceed the enumeration cap "
-            f"{min(cap, _HARD_CAP)} (2^{n} subsets); raise the cap only if the "
-            f"runtime is acceptable"
+            f"{cap} (2^{n} subsets); raise the cap only if the runtime is acceptable"
         )
 
 

@@ -23,6 +23,7 @@ from .cheeger import (
     cheeger_vertex,
 )
 from .graphs import MeasuredGraph, VertexSubset, diameter, measure_of, stats
+from .inequalities import poincare_cheeger_floor
 from .poincare import kappa_constant
 from .rationals import InputError, scaled_integers
 from .spectral import measured_gap
@@ -301,30 +302,7 @@ def family_report(family: GraphFamily, threshold, cap: int = DEFAULT_CAP) -> Fam
     if threshold <= 0:
         raise InputError("expansion threshold must be positive")
 
-    def row(item) -> FamilyRow:
-        index, graph = item
-        st = stats(graph)
-        cheeger = None
-        gap = None
-        error = None
-        try:
-            cheeger = cheeger_vertex(graph, cap=cap).value
-        except (ExactModeInfeasible, NoFeasibleSubset) as exc:
-            error = str(exc)
-        if st.full_support and st.connected:
-            gap = measured_gap(graph)
-        return FamilyRow(
-            index=index,
-            size=graph.n,
-            cheeger=cheeger,
-            gap=gap,
-            max_valency=st.max_valency,
-            ratio_bound=st.ratio_bound,
-            peak_fraction=st.peak_fraction,
-            error=error,
-        )
-
-    rows = tuple(row(item) for item in enumerate(family.members))
+    rows = tuple(_member_row(index, graph, cap) for index, graph in enumerate(family.members))
 
     gammas = [r.peak_fraction for r in rows]
     partial = any(r.error is not None for r in rows)
@@ -343,6 +321,17 @@ def family_report(family: GraphFamily, threshold, cap: int = DEFAULT_CAP) -> Fam
         expander_verdict=verdict,
         partial=partial,
     )
+
+
+def _member_row(index: int, graph: MeasuredGraph, cap: int) -> FamilyRow:
+    """One member's invariants; where the engine refuses, its message stands in for the Cheeger value."""
+    st = stats(graph)
+    try:
+        cheeger, error = cheeger_vertex(graph, cap=cap).value, None
+    except (ExactModeInfeasible, NoFeasibleSubset) as exc:
+        cheeger, error = None, str(exc)
+    gap = measured_gap(graph) if st.full_support and st.connected else None
+    return FamilyRow(index, graph.n, cheeger, gap, st.max_valency, st.ratio_bound, st.peak_fraction, error)
 
 
 def _ghostly_verdict(gammas: Sequence[Fraction]) -> str:
@@ -441,11 +430,12 @@ def generalised_certificate(
     """Symmetric far-off-diagonal pair measures witnessing uniform p-energy
     bounds for modulus-controlled maps.
 
-    Members must be connected with full support; measures are rescaled to
-    probability internally.  Per member with peak mass gamma < 1/8 the cutoff
-    is log_K(1/(8 gamma)) (K the family valency bound) and the pair measure
-    m(x)m(y) is restricted to pairs farther apart than the cutoff and
-    renormalized; members with gamma >= 1/8 are skipped and reported.
+    Members must be connected with full support; every reported quantity
+    depends only on ratios of each member's measure.  Per member with peak
+    mass fraction gamma < 1/8 the cutoff is log_K(1/(8 gamma)) (K the family
+    valency bound) and the pair measure m(x)m(y) is restricted to pairs
+    farther apart than the cutoff and renormalized; members with
+    gamma >= 1/8 are skipped and reported.
     Supplied test maps are vectors of coordinates per vertex, n rows of one
     nonzero length; each map is accepted only if it obeys the modulus
     pairwise, and accepted maps are checked against the uniform energy bound
@@ -459,35 +449,27 @@ def generalised_certificate(
     emitted pair measure itself, in Fractions; the cutoff value, the modulus
     checks and the energies are float.
 
-    The family Cheeger floor entering kappa uses exact enumeration up to the
-    cap and the spectral-gap lower bound s*gap/(2(1+s)K) beyond it; any lower
-    bound on the true Cheeger floor yields a larger, still valid kappa.
+    The family Cheeger floor entering kappa is exact where the enumeration
+    engine answers and the spectral-gap lower bound s*gap/(2(1+s)K) where it
+    refuses; any lower bound on the true floor yields a larger, valid kappa.
     """
     if not p >= 1:  # NaN fails too
         raise InputError("p must be at least 1")
-    members = []
-    for i, graph in enumerate(family.members):
+    members = family.members
+    for i, graph in enumerate(members):
         if not graph.connected:
             raise InputError(f"member {i} is not connected")
         if any(m == 0 for m in graph.measure):
             raise InputError(f"member {i} lacks full support")
-        total = graph.total_measure
-        members.append(graph if total == 1 else graph.with_measure([m / total for m in graph.measure]))
 
-    member_stats = [stats(g) for g in members]
-    big_k = max(st.max_valency for st in member_stats)
-    s_floor = min(st.ratio_bound for st in member_stats)
-    cheegers: list[float] = []
-    sources: list[str] = []
-    for graph, st in zip(members, member_stats):
-        if graph.n <= cap:
-            cheegers.append(float(cheeger_vertex(graph, cap=cap).value))
-            sources.append("exact")
-        else:
-            s = st.ratio_bound
-            cheegers.append(float(s / (2 * (1 + s) * st.max_valency)) * measured_gap(graph))
-            sources.append("spectral-bound")
-    c_floor = min(cheegers)
+    member_rows = [_member_row(index, graph, cap) for index, graph in enumerate(members)]
+    big_k = max(r.max_valency for r in member_rows)
+    s_floor = min(r.ratio_bound for r in member_rows)
+    c_floor = min(
+        float(r.cheeger) if r.cheeger is not None else poincare_cheeger_floor(r.ratio_bound, r.max_valency, r.gap)
+        for r in member_rows
+    )
+    sources = tuple("exact" if r.cheeger is not None else "spectral-bound" for r in member_rows)
 
     diameters = [diameter(g) for g in members]
     if rho_plus is None:
@@ -496,8 +478,8 @@ def generalised_certificate(
 
     rng = random.Random(seed)
     rows = []
-    for index, graph in enumerate(members):
-        gamma = max(graph.measure)
+    for index, (graph, member) in enumerate(zip(members, member_rows)):
+        gamma = member.peak_fraction
         if 8 * gamma >= 1:
             skipped = f"peak mass {gamma} >= 1/8: cutoff would be nonpositive"
             rows.append(CertificateRow(index, graph.n, gamma, skipped=skipped))
@@ -509,7 +491,7 @@ def generalised_certificate(
         beyond = np.array([8 * gamma * big_k ** d > 1 for d in by_distance])[dist]
         rho = np.array([float(rho_plus(d)) for d in by_distance])[dist]
 
-        scaled, scale = scaled_integers(graph.measure)
+        scaled, _ = scaled_integers(graph.measure)
         far = _pair_weights(scaled, beyond)
         far_sum = int(far.sum())
         xs, ys = np.nonzero(far)
@@ -535,7 +517,7 @@ def generalised_certificate(
                 gamma,
                 cutoff=math.log(1.0 / (8.0 * float(gamma))) / math.log(big_k),
                 pair_measure=nu,
-                off_diagonal_mass=Fraction(far_sum, scale * scale),
+                off_diagonal_mass=Fraction(far_sum, sum(scaled) ** 2),
                 symmetric=nu == {(y, x): w for (x, y), w in nu.items()},
                 probability=_is_probability(nu.values()),
                 supported_off_cutoff=all(map(beyond.item, nu)),
@@ -544,7 +526,7 @@ def generalised_certificate(
                 untested=not any(t.accepted for t in results),
             )
         )
-    return GeneralisedCertificate(tuple(rows), float(p), kappa, big_k, s_floor, c_floor, tuple(sources), 8.0 * kappa,
+    return GeneralisedCertificate(tuple(rows), float(p), kappa, big_k, s_floor, c_floor, sources, 8.0 * kappa,
                                   all(r.untested for r in rows))
 
 

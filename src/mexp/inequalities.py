@@ -201,6 +201,11 @@ def distance_gap_bound(
     )
 
 
+def poincare_cheeger_floor(s: Fraction, big_k: int, gap: float) -> float:
+    """The Cheeger lower bound s * gap / (2 (1+s) K) from a measured gap."""
+    return float(s / (2 * (1 + s) * big_k)) * gap
+
+
 def verify_poincare_to_cheeger(
     graph: MeasuredGraph, cap: int = DEFAULT_CAP, tol: float = DEFAULT_TOLERANCE
 ) -> InequalityReport:
@@ -208,7 +213,7 @@ def verify_poincare_to_cheeger(
     s, big_k = _ratio_data(graph)
     c = cheeger_vertex(graph, cap=cap).value
     gap = measured_gap(graph)
-    floor = float(s / (2 * (1 + s) * big_k)) * gap
+    floor = poincare_cheeger_floor(s, big_k, gap)
     checks = (_check("s gap / (2(1+s)K) <= cheeger", floor, c, tol),)
     return _report(
         "poincare-to-cheeger",

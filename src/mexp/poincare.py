@@ -118,15 +118,12 @@ def _magnitude(x: np.ndarray, eps: float) -> np.ndarray:
 
 def lp_energy_pair(walk: ReversibleWalk, f: Sequence[float], p: float) -> tuple[float, float]:
     """(edge energy, pair energy) of a single function, ordered-pair convention."""
-    return _function_energies(walk.graph, [walk.a[e] for e in walk.graph.edges], walk.mu, walk.total_mu, f, p)
+    return _walk_energies(walk, f, p)[:2]
 
 
 def lp_energy_ratio(walk: ReversibleWalk, f: Sequence[float], p: float) -> float:
     """Ratio of the edge energy to the pair energy; errors on constant f."""
-    edge, pair = lp_energy_pair(walk, f, p)
-    if pair == 0.0:
-        raise InputError("constant function: pair energy vanishes")
-    return edge / pair
+    return _ratio(*_walk_energies(walk, f, p)[2:])
 
 
 @dataclass(frozen=True)
@@ -142,20 +139,31 @@ def measured_lp_check(graph: MeasuredGraph, f: Sequence[float], p: float) -> Mea
     if 0 in graph.measure:
         raise InputError(f"vertex {graph.labels[graph.measure.index(0)]!r} has zero measure")
     aw = [graph.measure[u] + graph.measure[v] for u, v in graph.edges]
-    lhs, rhs = _function_energies(graph, aw, graph.measure, graph.total_measure, f, p)
-    if rhs == 0.0:
-        raise InputError("constant function: pair energy vanishes")
-    return MeasuredEnergyCheck(lhs=lhs, rhs=rhs, ratio=lhs / rhs)
+    lhs, rhs, edge, pair = _function_energies(graph, aw, graph.measure, graph.total_measure, f, p)
+    return MeasuredEnergyCheck(lhs=lhs, rhs=rhs, ratio=_ratio(edge, pair))
 
 
-def _function_energies(graph, edge_weights, weights, total, f: Sequence[float], p: float) -> tuple[float, float]:
+def _walk_energies(walk: ReversibleWalk, f: Sequence[float], p: float):
+    return _function_energies(walk.graph, [walk.a[e] for e in walk.graph.edges], walk.mu, walk.total_mu, f, p)
+
+
+def _function_energies(graph, edge_weights, weights, total, f: Sequence[float], p: float) -> tuple[float, ...]:
+    """Edge and pair energy of one function (inf or 0.0 past the float range),
+    then both times 2^-shift, the scale near 1 at which ratios are taken."""
     _check_exponent(p)
     vec = np.asarray(f, dtype=float)
     if vec.shape != (graph.n,):
         raise InputError(f"function length {vec.shape} does not match {graph.n} vertices")
     arrays, shift = _arrays(graph, edge_weights, weights, total)
-    edge, pair = np.ldexp(_energies(*arrays, vec[None, :], p), shift)
-    return float(edge[0]), float(pair[0])
+    (edge,), (pair,) = _energies(*arrays, vec[None, :], p)
+    with np.errstate(over="ignore"):
+        return float(np.ldexp(edge, shift)), float(np.ldexp(pair, shift)), float(edge), float(pair)
+
+
+def _ratio(edge: float, pair: float) -> float:
+    if pair == 0.0:
+        raise InputError("constant function: pair energy vanishes")
+    return edge / pair
 
 
 # -- optimizer ----------------------------------------------------------------

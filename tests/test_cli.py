@@ -38,6 +38,11 @@ def c6_file(tmp_path):
     return str(path)
 
 
+def regular_50():
+    """A cubic graph on 50 vertices: past the enumeration engine's 48-vertex limit."""
+    return random_regular(50, 3, random.Random(1), probability_counting_measure(50))
+
+
 def run(capsys, *argv):
     code = main(list(argv))
     out = capsys.readouterr()
@@ -337,6 +342,17 @@ class TestCertifyCommand:
         for row in results["rows"]:
             assert row["skipped"] is None
             assert row["symmetric"] and row["probability"]
+
+    def test_member_past_the_engine_limit_uses_the_spectral_bound(self, capsys, tmp_path):
+        # the engine refuses n = 50 at any cap; certify used to pass it to the
+        # engine whenever n <= --cap and exit 2
+        fam = tmp_path / "fam"
+        fam.mkdir()
+        (fam / "g0.json").write_text(dump_graph(regular_50()), encoding="utf-8")
+        (fam / "g1.json").write_text(dump_graph(make_cycle(16, probability_counting_measure(16))), encoding="utf-8")
+        code, out, err = run(capsys, "certify", "--dir", str(fam), "--p", "2", "--cap", "60")
+        assert code == 0, err
+        assert report_of(out)["results"]["cheeger_sources"] == ["spectral-bound", "exact"]
 
     def test_tolerance_decides_borderline_energy(self, capsys, tmp_path, monkeypatch):
         # a tested energy 1e-6 above the bound violates at the default 1e-8
@@ -887,6 +903,13 @@ class TestExitCodes:
         code, out, err = run(capsys, *argv, "--input", str(path), "--cap", "5")
         assert code == 2 and out == ""
         assert err.startswith("mexp: error:") and "exact mode infeasible" in err and "Traceback" not in err
+
+    def test_engine_limit_is_named_past_any_cap(self, capsys, tmp_path):
+        path = tmp_path / "regular50.json"
+        path.write_text(dump_graph(regular_50()), encoding="utf-8")
+        code, out, err = run(capsys, "cheeger", "--input", str(path), "--cap", "60")
+        assert code == 2 and out == ""
+        assert "50 vertices exceed the engine's own limit of 48 vertices (2^50 subsets), which no cap raises" in err, err
 
     @pytest.mark.parametrize("p, message", [("inf", "finite number"), ("1e6", "float range")])
     @pytest.mark.parametrize(

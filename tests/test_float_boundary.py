@@ -9,6 +9,7 @@ must agree and float sides agree to 1e-12.
 
 import dataclasses
 import random
+import warnings
 from fractions import Fraction
 
 import numpy as np
@@ -21,11 +22,20 @@ from mexp import (
     delta_operator,
     family_report,
     from_conductance,
+    generalised_certificate,
     lambda_operator,
+    lp_energy_ratio,
+    measured_lp_check,
     optimal_lp_constant,
     spectrum,
 )
-from mexp.families import make_cycle, probability_counting_measure, product_segment, random_regular
+from mexp.families import (
+    make_cycle,
+    probability_counting_measure,
+    product_segment,
+    random_positive_measure,
+    random_regular,
+)
 from mexp.inequalities import (
     verify_cheeger_sandwich,
     verify_gap_controls,
@@ -78,6 +88,8 @@ def results(walk):
         "lp-poincare": [verify_lp_poincare(walk, p, trials=50, seed=2) for p in (1.5, 2.0, 3.0)],
         "estimate": estimate.estimate,
         "rows": family_report(GraphFamily((graph,)), Fraction(1, 10)).rows,
+        # the exact Cheeger floor, then the spectral bound on the engine's refusal
+        "certificate": [generalised_certificate(GraphFamily((graph,)), 2.0, seed=1, cap=cap) for cap in (graph.n, 1)],
     }
 
 
@@ -133,3 +145,42 @@ class TestScaledTwins:
         ratio = op.mass_diagonal / twin.mass_diagonal
         assert np.all(ratio == ratio[0]) and np.log2(ratio[0]) % 2 == 0
         assert np.array_equal(op.stiffness, twin.stiffness * ratio[0])
+
+
+class TestEnergyHelpers:
+    F = [0.3, -1.2, 2.0, 0.5, -0.7, 1.1]
+
+    @pytest.mark.parametrize("factor", [Fraction(2) ** 1100, Fraction(2) ** -1100])
+    def test_ratios_are_taken_before_scaling_back(self, factor):
+        # the energies themselves overflow to inf or underflow to 0.0
+        walk = c6()
+        twin = scaled_twin(walk, factor)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            for p in (1.5, 2.0, 3.0):
+                assert lp_energy_ratio(twin, self.F, p) == lp_energy_ratio(walk, self.F, p)
+                assert measured_lp_check(twin.graph, self.F, p).ratio == measured_lp_check(walk.graph, self.F, p).ratio
+            for call in (lp_energy_ratio, lambda w, f, p: measured_lp_check(w.graph, f, p)):
+                with pytest.raises(InputError, match="constant function"):
+                    call(twin, [1.5] * 6, 2.0)
+
+
+def normalised(graph):
+    return graph.with_measure([m / graph.total_measure for m in graph.measure])
+
+
+def test_certificate_matches_its_probability_normalised_twin():
+    """The certificate reads only ratios of each member's measure: on members
+    with non-unit totals it matches their probability-normalised copies, the
+    rows exactly, and the floor, kappa and bound to 1e-12 (the measured gap
+    of a spectral-bound member rounds differently at another total)."""
+    for seed in range(12):
+        rng = random.Random(seed)
+        members = tuple(random_regular(n, 3, rng, random_positive_measure(n, rng)) for n in (12, 16, 24, 32))
+        assert all(g.total_measure != 1 for g in members)
+        for p in (1.0, 2.0):
+            cert = generalised_certificate(GraphFamily(members), p, seed=seed, cap=16)
+            twin = generalised_certificate(GraphFamily(tuple(map(normalised, members))), p, seed=seed, cap=16)
+            assert cert.cheeger_sources == ("exact", "exact", "spectral-bound", "spectral-bound")
+            assert cert.rows == twin.rows
+            assert_close(cert, twin, 1e-12)
