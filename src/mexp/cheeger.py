@@ -29,28 +29,22 @@ candidates are looked up in the exact tables.  With u = 2^-53 a shadow sum
 of two entries lies within (1+u)^2 of the exact one, so the float decides
 feasibility outside a relative band of 2^-50 around each limit, and the
 entries inside the band are checked exactly.  Ratios are ranked by float
-num/den; every candidate within a relative margin of the least float ratio
-so far is kept, so nothing outside it can be a minimizer or tie with one,
-given a margin above the square of the ratio's error F:
-
-  vertex, profile   num and den sum two entries rounded once each (int64:
-                    num and den are rounded once), F = ((1+u)/(1-u))^3,
-                    margin 1 + 2^-48
-  conductance       the cross term sums n - h correctly rounded entries of
-                    P or Q, F = ((1+u)/(1-u))^(n-h+2), margin 1 + 2^-46,
-                    which exceeds F^2 for n <= 48
-
-Below 2^53 every sum is exact and the ratio correctly rounded, so there is
-no band and the margin, 1 + 2^-48 for every flavor, only admits near-ties.
-Beyond 2^1000 a shadow below 2^-1000 (subnormal entries arise once the
-scaled total exceeds about 2^2022) carries no relative bound: a candidate
-whose num, den or ratio is that small is always settled exactly, and such a
-row gets bound 0.  A quotient that rounds to inf exceeded the largest float,
-so the margin argument ranks it above any finite incumbent.  Settlement
-gathers the exact num and den of the candidates alone and runs a knockout of
-Python-int cross-multiplications, one vectorized step per round; exact ties
-break toward the smallest mask in the original labels, all mapped back at
-once, so neither the relabelling nor the visit order can change the witness.
+num/den, and every candidate within the relative margin 1 + 2^-46 of the
+least float ratio so far is kept.  The margin exceeds F^2, with F the
+ratio's worst error: the conductance cross term sums n - h correctly rounded
+entries of P or Q, so F = ((1+u)/(1-u))^(n-h+2) < 1 + 2^-47 for n <= 48, and
+the other ratios err less.  So nothing outside the margin can be a minimizer
+or tie with one.  Below 2^53 every sum is exact and the ratio correctly
+rounded, so there is no band and the margin only admits near-ties.  Beyond
+2^1000 a shadow below 2^-1000 (subnormal entries arise once the scaled total
+exceeds about 2^2022) carries no relative bound: a candidate whose num, den
+or ratio is that small is always settled exactly, and such a row gets bound
+0.  A quotient that rounds to inf exceeded the largest float, so the margin
+argument ranks it above any finite incumbent.  Settlement gathers the exact
+num and den of the candidates alone and compares them in one pass by
+Python-int cross-multiplication; exact ties break toward the smallest mask
+in the original labels, all mapped back at once, so neither the relabelling
+nor the visit order can change the witness.
 
 Pruning.  Graphs whose rows fit in one block (n <= _BLOCK_BITS) are
 enumerated whole.  Past that, every row H gets a lower bound on the ratio of
@@ -179,7 +173,7 @@ def cheeger_conductance(
     total = 2 * sum(weights) if scaled is None else sum(scaled)
     if total <= 0:
         raise InputError("constraint measure must have positive total")
-    halves = _Halves(graph.n, max(total, 2 * sum(weights)), walk.mu, _CUT_MARGIN)
+    halves = _Halves(graph.n, max(total, 2 * sum(weights)), walk.mu)
     vol, numerator, row_num = _cut(halves, graph.n, graph.edges, weights)
     feas, den = (vol, None) if scaled is None else (halves.sums(scaled), vol)
     best = _minimize_ratio(halves, 1, total // 2, feas, den, numerator, row_num)
@@ -230,8 +224,7 @@ def _ball_masks(graph: MeasuredGraph, radius: int) -> list[int]:
 
 # -- enumeration engine ------------------------------------------------------
 
-_MARGIN = 1.0 + 2.0**-48  # exceeds ((1+u)/(1-u))^7, u = 2^-53: see the module docstring
-_CUT_MARGIN = 1.0 + 2.0**-46  # exceeds ((1+u)/(1-u))^52: the conductance cross term, n <= 48
+_MARGIN = 1.0 + 2.0**-46  # exceeds ((1+u)/(1-u))^52, u = 2^-53: see the module docstring
 _BAND = 2.0**-50  # relative width of the feasibility band around the limits
 _TINY = 2.0**-1000  # below this a shadow carries no relative error bound
 
@@ -243,16 +236,14 @@ class _Halves:
 
     When the rows span more than one block, the vertices are relabelled in
     ascending weight, so that the heaviest form the row half; the tables are
-    then built in the new labels and `original` maps masks back.  margin is
-    the ranking margin the flavor's shadows need once they are rounded."""
+    then built in the new labels and `original` maps masks back."""
 
-    def __init__(self, n: int, bound: int, weight, margin: float = _MARGIN):
+    def __init__(self, n: int, bound: int, weight):
         self.h = (n + 1) // 2
         self.dtype = np.float64 if bound < 1 << 53 else np.int64 if bound < 1 << 62 else object
         # shadows are exact * 2^-shift, which keeps every table entry below 2^1000
         self.shift = max(0, bound.bit_length() - 1000)
         self.rounded = self.dtype is not np.float64  # ratios (and conductance shadows) round
-        self.margin = margin if self.rounded else _MARGIN
         self.eps = _BAND if self.dtype is object else 0.0
         self.tiny = _TINY if self.shift else 0.0
         self.bits = [_bit_table(k) for k in (self.h, n - self.h)]
@@ -358,7 +349,6 @@ def _minimize_ratio(halves: _Halves, feas_lo: int, feas_hi: int, feas, den, nume
     (flo_x, fhi_x), (flo, fhi) = feas
     (dlo_x, dhi_x), (dlo, dhi) = feas if den is None else den
     lo_in, hi_in, lo_out, hi_out = halves.limits(feas_lo, feas_hi)
-    margin = halves.margin
     step = max(1, (1 << _BLOCK_BITS) >> h)
     visit, bound = np.arange(fhi.size), None
     if halves.order is not None:
@@ -375,7 +365,7 @@ def _minimize_ratio(halves: _Halves, feas_lo: int, feas_hi: int, feas, den, nume
         bound = bound[visit]
     best, found = np.inf, []
     for k in range(0, fhi.size, step):
-        if bound is not None and bound[k] > best * margin:
+        if bound is not None and bound[k] > best * _MARGIN:
             break  # every later row is bounded above the incumbent
         rows = visit[k : k + step]
         fm = fhi[rows, None] + flo
@@ -398,14 +388,14 @@ def _minimize_ratio(halves: _Halves, feas_lo: int, feas_hi: int, feas, den, nume
         best = min(best, (ratio if unsure is None else np.where(unsure, np.inf, ratio)).min())
         if unsure is not None:  # kept with ratio -1: settled exactly, never the incumbent
             ratio[unsure] = -1.0
-        keep = np.flatnonzero(ratio <= best * margin)
+        keep = np.flatnonzero(ratio <= best * _MARGIN)
         found.append((rows[r[keep]] << h | c[keep], ratio[keep], num[keep], d[keep]))
     if not found:
         return None
     mask, ratio, num, d = found[0]
     if len(found) > 1:  # drop the candidates of blocks whose minimum has since been beaten
         mask, ratio, num, d = map(np.concatenate, zip(*found))
-        keep = ratio <= best * margin
+        keep = ratio <= best * _MARGIN
         mask, num, d = mask[keep], num[keep], d[keep]
     if halves.rounded:  # the candidates' exact terms, from the exact tables
         rows, cols = mask >> h, mask & low
@@ -425,21 +415,15 @@ def _ranked(halves: _Halves, num, den):
 
 def _settle(num, den, mask):
     """(num, den, mask) of the exact minimum of num/den over the candidates,
-    ties to the smallest mask: a knockout in which each round pairs off the
-    survivors and keeps the lesser of each pair by Python-int
-    cross-multiplication, ceil(log2 K) vectorized rounds for K candidates."""
-    k = 0
-    if num.size > 1:
-        num, den = (a if a.dtype == object else a.astype(np.int64).astype(object) for a in (num, den))
-        live = np.arange(num.size)
-        while live.size > 1:
-            half = live.size // 2
-            a, b = live[:half], live[half : 2 * half]
-            lhs, rhs = num[a] * den[b], num[b] * den[a]
-            first = (lhs < rhs) | ((lhs == rhs) & (mask[a] < mask[b]))
-            live = np.concatenate([np.where(first, a, b), live[2 * half :]])
-        k = live[0]
-    return int(num[k]), int(den[k]), int(mask[k])
+    ties to the smallest mask: one pass over them as Python ints, each
+    compared with the least so far by cross-multiplication."""
+    candidates = zip(map(int, num.tolist()), map(int, den.tolist()), mask.tolist())
+    best_num, best_den, best_mask = next(candidates)
+    for n, d, m in candidates:
+        lhs, rhs = n * best_den, best_num * d
+        if lhs < rhs or lhs == rhs and m < best_mask:
+            best_num, best_den, best_mask = n, d, m
+    return best_num, best_den, best_mask
 
 
 def _boundary(halves: _Halves, tables, reach):

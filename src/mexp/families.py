@@ -294,9 +294,11 @@ class FamilyReport:
 def family_report(family: GraphFamily, threshold, cap: int = DEFAULT_CAP) -> FamilyReport:
     """Per-member invariants plus finite-family verdicts.
 
-    expander_verdict is None (partial) when some member exceeded the
-    enumeration cap; the ghostly verdict only reports whether the peak-mass
-    sequence is trending the right way, never the limit itself.
+    expander_verdict is False when an exact member is below the threshold,
+    else None when the family is partial (some member exceeded the
+    enumeration cap or has no feasible subset), else True; the ghostly
+    verdict only reports whether the peak-mass sequence is trending the
+    right way, never the limit itself.
     """
     threshold = Fraction(threshold)
     if threshold <= 0:
@@ -306,11 +308,8 @@ def family_report(family: GraphFamily, threshold, cap: int = DEFAULT_CAP) -> Fam
 
     gammas = [r.peak_fraction for r in rows]
     partial = any(r.error is not None for r in rows)
-    known = [r.cheeger for r in rows if r.cheeger is not None]
-    if partial:
-        verdict = None if all(c >= threshold for c in known) else False
-    else:
-        verdict = all(c >= threshold for c in known)
+    below = any(r.cheeger is not None and r.cheeger < threshold for r in rows)
+    verdict = False if below else None if partial else True
     ratios = [r.ratio_bound for r in rows]
     return FamilyReport(
         rows=rows,
@@ -330,7 +329,8 @@ def _member_row(index: int, graph: MeasuredGraph, cap: int) -> FamilyRow:
         cheeger, error = cheeger_vertex(graph, cap=cap).value, None
     except (ExactModeInfeasible, NoFeasibleSubset) as exc:
         cheeger, error = None, str(exc)
-    gap = measured_gap(graph) if st.full_support and st.connected else None
+    # a single vertex has no positive eigenvalue, and no feasible subset either
+    gap = measured_gap(graph) if st.full_support and st.connected and graph.n > 1 else None
     return FamilyRow(index, graph.n, cheeger, gap, st.max_valency, st.ratio_bound, st.peak_fraction, error)
 
 
@@ -461,6 +461,8 @@ def generalised_certificate(
             raise InputError(f"member {i} is not connected")
         if any(m == 0 for m in graph.measure):
             raise InputError(f"member {i} lacks full support")
+        if graph.n == 1:
+            raise InputError(f"member {i} has a single vertex: no subset is feasible")
 
     member_rows = [_member_row(index, graph, cap) for index, graph in enumerate(members)]
     big_k = max(r.max_valency for r in member_rows)

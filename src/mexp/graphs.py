@@ -335,20 +335,13 @@ def diameter(graph: MeasuredGraph) -> int:
 def vertex_boundary(graph: MeasuredGraph, subset: VertexSubset) -> VertexSubset:
     """Vertices outside the subset adjacent to some member."""
     reach = 0
-    mask = subset.mask
-    for v in range(graph.n):
-        if mask >> v & 1:
-            reach |= graph.neighbor_masks[v]
-    return VertexSubset(graph.n, reach & ~mask)
+    for v in subset.indices():
+        reach |= graph.neighbor_masks[v]
+    return VertexSubset(graph.n, reach & ~subset.mask)
 
 
 def measure_of(graph: MeasuredGraph, subset: VertexSubset) -> Fraction:
-    total = Fraction(0)
-    mask = subset.mask
-    for v in range(graph.n):
-        if mask >> v & 1:
-            total += graph.measure[v]
-    return total
+    return sum((graph.measure[v] for v in subset.indices()), Fraction(0))
 
 
 def stats(graph: MeasuredGraph) -> GraphStats:

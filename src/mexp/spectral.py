@@ -43,7 +43,6 @@ class SelfAdjointOperator:
     with positive weights it is exactly the dimension of the kernel.
     """
 
-    kind: str  # "delta" | "lambda"
     stiffness: np.ndarray
     mass_diagonal: np.ndarray
     components: int
@@ -71,7 +70,7 @@ class SpectralResult:
 def delta_operator(walk: ReversibleWalk) -> SelfAdjointOperator:
     """Pencil representing the walk Laplacian on l2(V; mu)."""
     edges = walk.graph.edges
-    return _pencil("delta", walk.graph.n, edges, [walk.a[e] for e in edges], walk.mu, walk.graph.component_count)
+    return _pencil(walk.graph.n, edges, [walk.a[e] for e in edges], walk.mu, walk.graph.component_count)
 
 
 def lambda_operator(graph: MeasuredGraph) -> SelfAdjointOperator:
@@ -81,10 +80,10 @@ def lambda_operator(graph: MeasuredGraph) -> SelfAdjointOperator:
     if not graph.connected:
         raise InputError("the measured spectral gap is defined for connected graphs")
     m = graph.measure
-    return _pencil("lambda", graph.n, graph.edges, [m[u] + m[v] for u, v in graph.edges], m, 1)
+    return _pencil(graph.n, graph.edges, [m[u] + m[v] for u, v in graph.edges], m, 1)
 
 
-def _pencil(kind: str, n: int, edges, weights, mass, components: int) -> SelfAdjointOperator:
+def _pencil(n: int, edges, weights, mass, components: int) -> SelfAdjointOperator:
     """Weighted graph Laplacian of the edge weights, diagonal the row sums,
     with the given diagonal mass and the graph's component count."""
     scaled, _ = scaled_floats([*weights, *mass])
@@ -92,21 +91,21 @@ def _pencil(kind: str, n: int, edges, weights, mass, components: int) -> SelfAdj
     stiff = np.zeros((n, n))
     stiff[u, v] = stiff[v, u] = -scaled[: len(weights)]
     stiff[np.diag_indices(n)] = -stiff.sum(axis=1)
-    return SelfAdjointOperator(kind, stiff, scaled[len(weights) :], components)
+    return SelfAdjointOperator(stiff, scaled[len(weights) :], components)
 
 
 def eigenpairs(op: SelfAdjointOperator):
     """Eigenvalues (ascending) and pencil eigenvectors of (stiffness, mass).
 
-    The pencil is symmetrized as M = D^(-1/2) L D^(-1/2); eigenvectors are
-    mapped back by D^(-1/2) so that L v = lam D v.
+    The pencil is symmetrized as M = D^(-1/2) L D^(-1/2), exactly symmetric
+    since L is and float products commute; eigenvectors are mapped back by
+    D^(-1/2) so that L v = lam D v.
     """
     d = op.mass_diagonal
     if np.any(d <= 0):
         raise InputError("mass diagonal must be strictly positive")
     inv_sqrt = 1.0 / np.sqrt(d)
     sym = op.stiffness * np.outer(inv_sqrt, inv_sqrt)
-    sym = (sym + sym.T) / 2.0
     w, u = np.linalg.eigh(sym)
     vecs = inv_sqrt[:, None] * u
     return w, vecs

@@ -50,25 +50,19 @@ class ReversibleWalk:
         return tuple(scaled), scale
 
 
-def from_conductance(graph: MeasuredGraph, a) -> ReversibleWalk:
+def from_conductance(graph: MeasuredGraph, a: Mapping) -> ReversibleWalk:
     """Build the reversible walk with the given edge conductance.
 
-    a is a mapping keyed by edge pairs (either orientation) or a callable
-    (u, v) -> Fraction.  It must be defined and positive exactly on the
-    edges of the graph; a vertex with no incident conductance would have
-    mu = 0 and is rejected.
+    a is a mapping from edge pairs (either orientation) to rationals.  It
+    must be defined and positive exactly on the edges of the graph; a vertex
+    with no incident conductance would have mu = 0 and is rejected.
     """
     values: dict[tuple[int, int], Fraction] = {}
-    if callable(a):
-        for u, v in graph.edges:
-            values[(u, v)] = Fraction(a(u, v))
-    else:
-        for key, val in a.items():
-            u, v = key
-            canon = (u, v) if u < v else (v, u)
-            if canon in values and values[canon] != Fraction(val):
-                raise WalkError(f"conflicting conductance for edge {canon}")
-            values[canon] = Fraction(val)
+    for (u, v), val in a.items():
+        canon = (u, v) if u < v else (v, u)
+        if canon in values and values[canon] != Fraction(val):
+            raise WalkError(f"conflicting conductance for edge {canon}")
+        values[canon] = Fraction(val)
     edge_set = set(graph.edges)
     for key in values:
         if key not in edge_set:
@@ -97,7 +91,8 @@ def auxiliary_walk(graph: MeasuredGraph) -> ReversibleWalk:
         raise WalkError("auxiliary walk needs a measure with full support")
     if not graph.connected:
         raise WalkError("auxiliary walk needs a connected graph")
-    return from_conductance(graph, lambda u, v: graph.measure[u] + graph.measure[v])
+    m = graph.measure
+    return from_conductance(graph, {(u, v): m[u] + m[v] for u, v in graph.edges})
 
 
 def heat_kernel_measure(graph: MeasuredGraph, x0: int, k: int) -> tuple[Fraction, ...]:

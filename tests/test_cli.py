@@ -38,6 +38,16 @@ def c6_file(tmp_path):
     return str(path)
 
 
+@pytest.fixture
+def single_vertex_family(tmp_path):
+    """A family directory holding C6 and a one-vertex graph."""
+    fam = tmp_path / "fam"
+    fam.mkdir()
+    (fam / "g0.json").write_text(dump_graph(make_cycle(6)), encoding="utf-8")
+    (fam / "g1.json").write_text(dump_graph(MeasuredGraph.build(1, [], [1])), encoding="utf-8")
+    return str(fam)
+
+
 def regular_50():
     """A cubic graph on 50 vertices: past the enumeration engine's 48-vertex limit."""
     return random_regular(50, 3, random.Random(1), probability_counting_measure(50))
@@ -326,6 +336,15 @@ class TestFamilyCommand:
         code, _, err = run(capsys, "family", "--dir", str(tmp_path), "--threshold", "1/5")
         assert code == 2
 
+    def test_single_vertex_member_is_partial(self, capsys, single_vertex_family):
+        # its gap was asked for and the command exited 2: a single vertex has no positive eigenvalue
+        code, out, err = run(capsys, "family", "--dir", single_vertex_family, "--threshold", "1/5")
+        assert code == 0, err
+        results = report_of(out)["results"]
+        assert [row["gap"] is None for row in results["rows"]] == [False, True]
+        assert results["rows"][1]["cheeger"] is None
+        assert results["partial"] is True and results["expander_verdict"] is None
+
 
 class TestCertifyCommand:
     def test_small_family(self, capsys, tmp_path):
@@ -342,6 +361,11 @@ class TestCertifyCommand:
         for row in results["rows"]:
             assert row["skipped"] is None
             assert row["symmetric"] and row["probability"]
+
+    def test_single_vertex_member_exits_two(self, capsys, single_vertex_family):
+        code, out, err = run(capsys, "certify", "--dir", single_vertex_family, "--p", "2")
+        assert code == 2 and out == ""
+        assert "member 1 has a single vertex" in err
 
     def test_member_past_the_engine_limit_uses_the_spectral_bound(self, capsys, tmp_path):
         # the engine refuses n = 50 at any cap; certify used to pass it to the

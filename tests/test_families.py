@@ -216,6 +216,8 @@ class TestFamilyReport:
         assert report.partial
         assert report.rows[1].cheeger is None and report.rows[1].error
         assert report.expander_verdict is None
+        # C6's exact value 2/3 is below 1, which decides the partial family
+        assert family_report(GraphFamily(members=members), 1, cap=8).expander_verdict is False
 
     def test_rows_reproducible(self):
         rng = random.Random(3)

@@ -122,7 +122,7 @@ class TestAuxiliaryWalk:
         rng = random.Random(5)
         for _ in range(10):
             g = helpers.rand_connected(rng, 2, 9, measured=True)
-            direct = from_conductance(g, lambda u, v: g.measure[u] + g.measure[v])
+            direct = from_conductance(g, {(u, v): g.measure[u] + g.measure[v] for u, v in g.edges})
             aux = auxiliary_walk(g)
             assert aux.a == direct.a and aux.mu == direct.mu and aux.graph is direct.graph is g
 
