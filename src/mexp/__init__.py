@@ -31,7 +31,6 @@ from .families import (
 )
 from .graphs import (
     GraphFormatError,
-    GraphStats,
     MeasuredGraph,
     VertexSubset,
     diameter,
@@ -39,7 +38,6 @@ from .graphs import (
     load_conductance,
     load_graph,
     measure_of,
-    stats,
     vertex_boundary,
 )
 from .inequalities import (

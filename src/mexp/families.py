@@ -22,9 +22,9 @@ from .cheeger import (
     NoFeasibleSubset,
     cheeger_vertex,
 )
-from .graphs import MeasuredGraph, VertexSubset, diameter, measure_of, stats
+from .graphs import MeasuredGraph, VertexSubset, diameter, measure_of
 from .inequalities import poincare_cheeger_floor
-from .poincare import kappa_constant
+from .poincare import _check_exponent, kappa_constant
 from .rationals import InputError, scaled_integers
 from .spectral import measured_gap
 
@@ -247,7 +247,7 @@ def full_support_perturbation(
     holes = graph.measure.count(0)
     if not holes:
         raise InputError("measure already has full support; nothing to perturb")
-    if any(graph.measure[v] == 0 for v in bad_set.indices()):
+    if any(graph.measure[v] == 0 for v in graph.members(bad_set)):
         raise InputError("bad set must lie inside the support")
     mass = measure_of(graph, bad_set)
     if not 0 < mass <= Fraction(1, 2):
@@ -324,14 +324,13 @@ def family_report(family: GraphFamily, threshold, cap: int = DEFAULT_CAP) -> Fam
 
 def _member_row(index: int, graph: MeasuredGraph, cap: int) -> FamilyRow:
     """One member's invariants; where the engine refuses, its message stands in for the Cheeger value."""
-    st = stats(graph)
     try:
         cheeger, error = cheeger_vertex(graph, cap=cap).value, None
     except (ExactModeInfeasible, NoFeasibleSubset) as exc:
         cheeger, error = None, str(exc)
     # a single vertex has no positive eigenvalue, and no feasible subset either
-    gap = measured_gap(graph) if st.full_support and st.connected and graph.n > 1 else None
-    return FamilyRow(index, graph.n, cheeger, gap, st.max_valency, st.ratio_bound, st.peak_fraction, error)
+    gap = measured_gap(graph) if graph.full_support and graph.connected and graph.n > 1 else None
+    return FamilyRow(index, graph.n, cheeger, gap, graph.max_valency, graph.ratio_bound, graph.peak_fraction, error)
 
 
 def _ghostly_verdict(gammas: Sequence[Fraction]) -> str:
@@ -453,13 +452,12 @@ def generalised_certificate(
     engine answers and the spectral-gap lower bound s*gap/(2(1+s)K) where it
     refuses; any lower bound on the true floor yields a larger, valid kappa.
     """
-    if not p >= 1:  # NaN fails too
-        raise InputError("p must be at least 1")
+    _check_exponent(p)
     members = family.members
     for i, graph in enumerate(members):
         if not graph.connected:
             raise InputError(f"member {i} is not connected")
-        if any(m == 0 for m in graph.measure):
+        if not graph.full_support:
             raise InputError(f"member {i} lacks full support")
         if graph.n == 1:
             raise InputError(f"member {i} has a single vertex: no subset is feasible")

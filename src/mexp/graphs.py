@@ -1,4 +1,4 @@
-"""Measured graphs: data model, metric and boundary primitives, structural stats.
+"""Measured graphs: data model with its cached facts, metric and boundary primitives.
 
 A measured graph is a finite simple undirected graph together with a
 nonnegative rational measure on its vertices.  Vertices are dense integers
@@ -53,26 +53,6 @@ class VertexSubset:
 
     def __len__(self) -> int:
         return bin(self.mask).count("1")
-
-
-@dataclass(frozen=True)
-class GraphStats:
-    """Structural statistics of a measured graph.
-
-    max_valency      largest vertex degree
-    ratio_bound      largest s with s*m(v) <= m(u) <= m(v)/s across every edge,
-                     1 for edge-constant measures, None when an edge endpoint
-                     has measure zero
-    peak_fraction    max_v m(v) / m(V)
-    connected        BFS reachability of the whole vertex set
-    full_support     every vertex has positive measure
-    """
-
-    max_valency: int
-    ratio_bound: Fraction | None
-    peak_fraction: Fraction
-    connected: bool
-    full_support: bool
 
 
 @dataclass(frozen=True)
@@ -134,6 +114,32 @@ class MeasuredGraph:
         return tuple((u, v) for u in range(self.n) for v in self.neighbors[u] if u < v)
 
     @cached_property
+    def max_valency(self) -> int:
+        """The valency bound K: the largest vertex degree."""
+        return max(map(len, self.neighbors))
+
+    @cached_property
+    def ratio_bound(self) -> Fraction | None:
+        """The measure-ratio bound s: the largest s with s*m(v) <= m(u) <= m(v)/s
+        across every edge, 1 for edge-constant measures, None when an edge
+        endpoint has measure zero."""
+        m = self.measure
+        ends = [sorted((m[u], m[v])) for u, v in self.edges]
+        if any(low == 0 for low, _ in ends):
+            return None
+        return min((low / high for low, high in ends), default=Fraction(1))
+
+    @cached_property
+    def peak_fraction(self) -> Fraction:
+        """The peak mass fraction gamma: max_v m(v) / m(V)."""
+        return max(self.measure) / self.total_measure
+
+    @cached_property
+    def full_support(self) -> bool:
+        """Every vertex has positive measure."""
+        return min(self.measure) > 0
+
+    @cached_property
     def connected(self) -> bool:
         return len(self._component_of) > 0 and max(self._component_of) == 0
 
@@ -185,6 +191,12 @@ class MeasuredGraph:
     def index_of(self, label, where: str = "label") -> int:
         """Vertex of a label, matched by JSON type and value as in documents."""
         return _lookup(self._index, label, where)
+
+    def members(self, subset: VertexSubset) -> list[int]:
+        """The subset's vertices, refused when the subset is sized for another graph."""
+        if subset.n != self.n:
+            raise InputError(f"subset of 0..{subset.n - 1} does not fit a graph on {self.n} vertices")
+        return subset.indices()
 
     def with_measure(self, measure: Sequence) -> "MeasuredGraph":
         """Same graph, different measure (validated)."""
@@ -335,32 +347,10 @@ def diameter(graph: MeasuredGraph) -> int:
 def vertex_boundary(graph: MeasuredGraph, subset: VertexSubset) -> VertexSubset:
     """Vertices outside the subset adjacent to some member."""
     reach = 0
-    for v in subset.indices():
+    for v in graph.members(subset):
         reach |= graph.neighbor_masks[v]
     return VertexSubset(graph.n, reach & ~subset.mask)
 
 
 def measure_of(graph: MeasuredGraph, subset: VertexSubset) -> Fraction:
-    return sum((graph.measure[v] for v in subset.indices()), Fraction(0))
-
-
-def stats(graph: MeasuredGraph) -> GraphStats:
-    """Valency bound, measure-ratio bound, peak measure fraction, flags."""
-    max_valency = max((graph.degree(v) for v in range(graph.n)), default=0)
-    ratio: Fraction | None = Fraction(1)
-    for u, v in graph.edges:
-        mu, mv = graph.measure[u], graph.measure[v]
-        if mu == 0 or mv == 0:
-            ratio = None
-            break
-        edge_ratio = min(Fraction(mu, mv), Fraction(mv, mu))
-        if edge_ratio < ratio:
-            ratio = edge_ratio
-    peak = max(graph.measure) / graph.total_measure
-    return GraphStats(
-        max_valency=max_valency,
-        ratio_bound=ratio,
-        peak_fraction=peak,
-        connected=graph.connected,
-        full_support=all(mv > 0 for mv in graph.measure),
-    )
+    return sum((graph.measure[v] for v in graph.members(subset)), Fraction(0))

@@ -28,8 +28,8 @@ from typing import Sequence
 import numpy as np
 
 from .cheeger import DEFAULT_CAP, cheeger_conductance, cheeger_vertex
-from .graphs import MeasuredGraph, VertexSubset, bfs_distances, stats
-from .poincare import _energies, _walk_arrays, cp_formula
+from .graphs import MeasuredGraph, VertexSubset, bfs_distances
+from .poincare import _check_exponent, _energies, _walk_arrays, cp_formula
 from .rationals import InputError, format_rational
 from .spectral import coarea_check, delta_gap, measured_gap
 from .walks import ReversibleWalk, auxiliary_walk
@@ -76,10 +76,9 @@ def _report(name: str, checks: Sequence[BoundCheck], inputs: dict) -> Inequality
 
 def _ratio_data(graph: MeasuredGraph) -> tuple[Fraction, int]:
     """The measure-ratio bound s and the valency bound K of a graph."""
-    st = stats(graph)
-    if st.ratio_bound is None:
+    if graph.ratio_bound is None:
         raise InputError("measure-ratio bound undefined: measure lacks full support")
-    return st.ratio_bound, st.max_valency
+    return graph.ratio_bound, graph.max_valency
 
 
 def verify_cheeger_sandwich(
@@ -168,16 +167,17 @@ def distance_gap_bound(
 ) -> InequalityReport:
     """gap * d(A,B)^2 <= (1/mu(A) + 1/mu(B)) * (a(E) - a(E_A) - a(E_B))."""
     graph = walk.graph
+    a_members, b_members = graph.members(set_a), graph.members(set_b)
     if set_a.mask == 0 or set_b.mask == 0:
         raise InputError("both subsets must be nonempty")
     if set_a.mask & set_b.mask:
         raise InputError("subsets must be disjoint")
     if not graph.connected:
         raise InputError("distance bound needs a connected graph")
-    dist = bfs_distances(graph, set_a.indices())
-    rho = min(dist[v] for v in set_b.indices())
-    mu_a = sum((walk.mu[v] for v in set_a.indices()), Fraction(0))
-    mu_b = sum((walk.mu[v] for v in set_b.indices()), Fraction(0))
+    dist = bfs_distances(graph, a_members)
+    rho = min(dist[v] for v in b_members)
+    mu_a = sum((walk.mu[v] for v in a_members), Fraction(0))
+    mu_b = sum((walk.mu[v] for v in b_members), Fraction(0))
     between = sum(
         (a for (u, v), a in walk.a.items() if not (u in set_a and v in set_a or u in set_b and v in set_b)),
         Fraction(0),
@@ -191,8 +191,8 @@ def distance_gap_bound(
         checks,
         {
             "n": graph.n,
-            "set_a": [graph.labels[v] for v in set_a.indices()],
-            "set_b": [graph.labels[v] for v in set_b.indices()],
+            "set_a": [graph.labels[v] for v in a_members],
+            "set_b": [graph.labels[v] for v in b_members],
             "distance": int(rho),
             "gap": repr(gap),
             "rhs": format_rational(rhs),
@@ -288,6 +288,7 @@ def verify_lp_poincare(
 ) -> InequalityReport:
     """Every random test function satisfies energy ratio >= c_p(cheeger, p)."""
     _check_trials(trials)
+    _check_exponent(p)
     c = cheeger_conductance(walk, constraint=walk.mu, cap=cap).value
     floor = cp_formula(float(c), p)
     rng = random.Random(seed)

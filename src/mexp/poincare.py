@@ -136,7 +136,7 @@ class MeasuredEnergyCheck:
 def measured_lp_check(graph: MeasuredGraph, f: Sequence[float], p: float) -> MeasuredEnergyCheck:
     """Both sides of the measured Lp inequality: edge energy against the pair
     form taken in the vertex measure m (not in the stationary measure)."""
-    if 0 in graph.measure:
+    if not graph.full_support:
         raise InputError(f"vertex {graph.labels[graph.measure.index(0)]!r} has zero measure")
     aw = [graph.measure[u] + graph.measure[v] for u, v in graph.edges]
     lhs, rhs, edge, pair = _function_energies(graph, aw, graph.measure, graph.total_measure, f, p)

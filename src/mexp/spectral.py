@@ -75,7 +75,7 @@ def delta_operator(walk: ReversibleWalk) -> SelfAdjointOperator:
 
 def lambda_operator(graph: MeasuredGraph) -> SelfAdjointOperator:
     """Pencil whose smallest positive eigenvalue is the measured spectral gap."""
-    if 0 in graph.measure:
+    if not graph.full_support:
         raise InputError(f"vertex {graph.labels[graph.measure.index(0)]!r} has zero measure")
     if not graph.connected:
         raise InputError("the measured spectral gap is defined for connected graphs")

@@ -87,7 +87,7 @@ def auxiliary_walk(graph: MeasuredGraph) -> ReversibleWalk:
 
     For the counting measure this is the simple walk with mu = 2 * valency.
     """
-    if not all(m > 0 for m in graph.measure):
+    if not graph.full_support:
         raise WalkError("auxiliary walk needs a measure with full support")
     if not graph.connected:
         raise WalkError("auxiliary walk needs a connected graph")

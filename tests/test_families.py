@@ -26,7 +26,8 @@ from mexp.families import (
     probability_counting_measure,
     random_regular,
 )
-from mexp.graphs import measure_of, stats, vertex_boundary
+from mexp import cheeger
+from mexp.graphs import measure_of, vertex_boundary
 
 
 class TestGenerate:
@@ -161,6 +162,13 @@ class TestPerturbation:
         with pytest.raises(ValueError, match="full support"):
             full_support_perturbation(g, VertexSubset.from_indices(4, [0]), 1)
 
+    def test_bad_set_of_another_size_is_bad_input(self):
+        g = MeasuredGraph.build(
+            3, [(0, 1), (1, 2)], [Fraction(1, 2), Fraction(1, 2), Fraction(0)]
+        )
+        with pytest.raises(InputError, match="does not fit a graph on 3 vertices"):
+            full_support_perturbation(g, VertexSubset(6, 0b110000), 2)
+
     def test_oversized_bad_set_rejected(self):
         g = MeasuredGraph.build(
             3, [(0, 1), (1, 2)], [Fraction(3, 4), Fraction(1, 4), Fraction(0)]
@@ -225,7 +233,7 @@ class TestFamilyReport:
         report = family_report(GraphFamily(members=members), Fraction(1, 100))
         for row, g in zip(report.rows, members):
             assert row.cheeger == cheeger_vertex(g).value
-            assert row.max_valency == stats(g).max_valency
+            assert row.max_valency == g.max_valency
 
     def test_heat_kernel_family_runs(self):
         # growing bases with heat-kernel measures: gamma should shrink
@@ -336,6 +344,16 @@ class TestCertificate:
             RhoTable((0.0, 2.0, 1.0))
         table = RhoTable((0.0, 1.0, 4.0))
         assert table(0) == 0.0 and table(2) == 4.0 and table(99) == 4.0
+
+    @pytest.mark.parametrize("p", [0.5, math.inf, math.nan])
+    def test_bad_p_refused_before_the_enumeration(self, monkeypatch, p):
+        def unreachable(*args):
+            raise AssertionError("the enumeration ran for a bad p")
+
+        monkeypatch.setattr(cheeger, "_minimize_ratio", unreachable)
+        g = make_cycle(16, probability_counting_measure(16))
+        with pytest.raises(InputError, match="finite number of at least 1"):
+            generalised_certificate(GraphFamily(members=(g,)), p=p)
 
     def test_disconnected_member_rejected(self):
         bad = MeasuredGraph.build(4, [(0, 1), (2, 3)], [Fraction(1, 4)] * 4)

@@ -11,13 +11,14 @@ import helpers
 import oracles
 from mexp import (
     GraphFormatError,
+    InputError,
     MeasuredGraph,
     VertexSubset,
     diameter,
     dump_graph,
     load_conductance,
     load_graph,
-    stats,
+    measure_of,
     vertex_boundary,
 )
 from mexp.families import make_complete, make_cycle
@@ -171,36 +172,66 @@ class TestBoundaries:
         assert crossing == [(u, v) for u, v in g.edges if (rest >> u & 1) != (rest >> v & 1)]
         assert set(vb.indices()) == oracles.boundary_set(g, frozenset(a.indices()))
 
+    @pytest.mark.parametrize("entry", [measure_of, vertex_boundary])
+    def test_subset_of_another_size_is_bad_input(self, entry):
+        g = make_cycle(4)
+        with pytest.raises(InputError, match="does not fit a graph on 4 vertices"):
+            entry(g, VertexSubset(6, 0b110000))
+
 
 class TestStats:
     def test_cycle_counting(self):
-        st_ = stats(make_cycle(6))
-        assert st_.max_valency == 2
-        assert st_.ratio_bound == 1
-        assert st_.peak_fraction == Fraction(1, 6)
-        assert st_.connected and st_.full_support
+        g = make_cycle(6)
+        assert g.max_valency == 2
+        assert g.ratio_bound == 1
+        assert g.peak_fraction == Fraction(1, 6)
+        assert g.connected and g.full_support
 
     def test_k2_uneven(self):
         g = MeasuredGraph.build(2, [(0, 1)], [1, 3])
-        assert stats(g).ratio_bound == Fraction(1, 3)
+        assert g.ratio_bound == Fraction(1, 3)
 
     def test_zero_endpoint_makes_ratio_absent(self):
         g = MeasuredGraph.build(2, [(0, 1)], [1, 0])
-        st_ = stats(g)
-        assert st_.ratio_bound is None
-        assert not st_.full_support
+        assert g.ratio_bound is None
+        assert not g.full_support
 
     def test_ratio_bound_is_extremal(self):
         rng = random.Random(11)
         for _ in range(30):
             g = helpers.rand_connected(rng, 2, 9, measured=True)
-            s = stats(g).ratio_bound
+            s = g.ratio_bound
             ratios = [
                 min(Fraction(g.measure[u], g.measure[v]), Fraction(g.measure[v], g.measure[u]))
                 for u, v in g.edges
             ]
             assert all(s * g.measure[v] <= g.measure[u] <= g.measure[v] / s for u, v in g.edges)
             assert s == min(ratios)
+
+    def test_facts_match_definitions(self):
+        rng = random.Random(22)
+        for _ in range(30):
+            g = helpers.rand_connected(rng, 2, 9, measured=True)
+            # an isolated vertex of mass zero: no edge sees it, so s is unchanged
+            # while the support is no longer full
+            h = MeasuredGraph.build(g.n + 1, g.edges, [*g.measure, 0])
+            for graph in (g, h):
+                m = graph.measure
+                assert graph.max_valency == max(graph.degree(v) for v in range(graph.n))
+                assert graph.peak_fraction == max(m) / sum(m)
+                assert graph.full_support == all(mv > 0 for mv in m)
+                assert graph.ratio_bound == min(
+                    min(Fraction(m[u], m[v]), Fraction(m[v], m[u])) for u, v in graph.edges
+                )
+            assert g.full_support and not h.full_support
+            assert h.ratio_bound == g.ratio_bound
+            # with_measure builds a new graph, whose facts come from its own measure
+            flat = g.with_measure([1] * g.n)
+            assert flat.ratio_bound == 1 and flat.peak_fraction == Fraction(1, g.n)
+            hole = g.with_measure([0, *g.measure[1:]])
+            assert hole.ratio_bound is None and not hole.full_support
+        lone = MeasuredGraph.build(2, [], [1, 0])
+        assert lone.ratio_bound == 1 and not lone.full_support
 
 
 class TestSubsetType:

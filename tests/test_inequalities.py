@@ -1,3 +1,4 @@
+import math
 import random
 from fractions import Fraction
 
@@ -22,6 +23,7 @@ from mexp import (
     verify_measured_sandwich,
     verify_poincare_to_cheeger,
 )
+from mexp import cheeger
 from mexp.graphs import diameter
 from mexp.families import make_cycle
 from mexp.poincare import cp_formula
@@ -157,6 +159,15 @@ class TestDistanceBound:
         assert check.lhs == pytest.approx(2.0, abs=1e-9)
         assert check.rhs == pytest.approx(2.0)
 
+    @pytest.mark.parametrize("set_a, set_b", [
+        (VertexSubset(2, 0b01), VertexSubset(2, 0b10)),
+        (VertexSubset(6, 0b010000), VertexSubset(6, 0b100000)),
+    ], ids=["smaller", "larger"])
+    def test_subsets_of_another_size_are_bad_input(self, set_a, set_b):
+        walk = auxiliary_walk(make_cycle(4))
+        with pytest.raises(InputError, match="does not fit a graph on 4 vertices"):
+            distance_gap_bound(walk, set_a, set_b)
+
     def test_complementary_halves_reduce_to_cut_bound(self):
         # with B the complement and mu(A) <= mu(V)/2, the bound collapses to
         # a(cut A) >= gap/2 mu(A)
@@ -264,6 +275,15 @@ class TestTrialVerifiers:
             verify_coarea(walk, trials=trials)
         with pytest.raises(InputError, match="at least one trial"):
             verify_lp_poincare(walk, 2.0, trials=trials)
+
+    @pytest.mark.parametrize("p", [0.5, math.inf, math.nan])
+    def test_bad_p_refused_before_the_enumeration(self, monkeypatch, p):
+        def unreachable(*args):
+            raise AssertionError("the enumeration ran for a bad p")
+
+        monkeypatch.setattr(cheeger, "_minimize_ratio", unreachable)
+        with pytest.raises(InputError, match="finite number of at least 1"):
+            verify_lp_poincare(auxiliary_walk(make_cycle(6)), p, trials=5)
 
     def test_lp_batch_matches_per_trial_loop(self):
         rng = random.Random(90)
