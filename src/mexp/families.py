@@ -22,7 +22,7 @@ from .cheeger import (
     NoFeasibleSubset,
     cheeger_vertex,
 )
-from .graphs import MeasuredGraph, VertexSubset, diameter, measure_of
+from .graphs import MeasuredGraph, VertexSubset, measure_of
 from .inequalities import poincare_cheeger_floor
 from .poincare import _check_exponent, kappa_constant
 from .rationals import InputError, scaled_integers
@@ -375,10 +375,6 @@ class RhoTable:
         idx = min(int(distance), len(self.values) - 1)
         return self.values[idx]
 
-    @classmethod
-    def identity(cls, up_to: int) -> "RhoTable":
-        return cls(tuple(float(d) for d in range(up_to + 1)))
-
 
 @dataclass(frozen=True)
 class TestMapResult:
@@ -435,8 +431,9 @@ def generalised_certificate(
     valency bound) and the pair measure m(x)m(y) is restricted to pairs
     farther apart than the cutoff and renormalized; members with
     gamma >= 1/8 are skipped and reported.
-    Supplied test maps are vectors of coordinates per vertex, n rows of one
-    nonzero length; each map is accepted only if it obeys the modulus
+    Each member's test maps are the supplied ones, n rows of coordinates of one
+    nonzero length, then four seeded default maps scaled to touch the modulus
+    (see _default_test_maps).  A map is accepted only if it obeys the modulus
     pairwise, and accepted maps are checked against the uniform energy bound
     8 kappa.  A row with no accepted map (skipped members included) is
     untested, and so is the certificate when every row is.
@@ -471,10 +468,7 @@ def generalised_certificate(
     )
     sources = tuple("exact" if r.cheeger is not None else "spectral-bound" for r in member_rows)
 
-    diameters = [diameter(g) for g in members]
-    if rho_plus is None:
-        rho_plus = RhoTable.identity(max(max(diameters), 1))
-    kappa = kappa_constant(big_k, float(s_floor), c_floor, p, float(rho_plus(1)))
+    kappa = kappa_constant(big_k, float(s_floor), c_floor, p, 1.0 if rho_plus is None else float(rho_plus(1)))
 
     rng = random.Random(seed)
     rows = []
@@ -486,10 +480,10 @@ def generalised_certificate(
             continue
         n = graph.n
         dist = np.array(graph.distances, dtype=np.intp)
-        by_distance = range(diameters[index] + 1)
+        by_distance = range(dist.max() + 1)
         # d > cutoff  <=>  8 gamma K^d > 1, decided exactly once per distance
         beyond = np.array([8 * gamma * big_k ** d > 1 for d in by_distance])[dist]
-        rho = np.array([float(rho_plus(d)) for d in by_distance])[dist]
+        rho = np.array([float(d if rho_plus is None else rho_plus(d)) for d in by_distance])[dist]  # default: identity
 
         scaled, _ = scaled_integers(graph.measure)
         far = _pair_weights(scaled, beyond)
@@ -504,12 +498,9 @@ def generalised_certificate(
         maps = [(f"supplied-{j}", _supplied_map(fmap, n)) for j, fmap in enumerate(supplied)]
         results = []
         for name, values in maps + _default_test_maps(graph, rho, p, rng):
-            powers = sum(np.abs(col[:, None] - col[None, :]) ** p for col in values.T)
-            violations = np.flatnonzero(np.triu(powers ** (1.0 / p) > rho + 1e-9, 1))
-            if violations.size:
-                results.append(TestMapResult(name, False, None, divmod(int(violations[0]), n)))
-            else:
-                results.append(TestMapResult(name, True, float(powers[xs, ys] @ nu_float), None))
+            powers, pair = _pair_test(values, rho, p)
+            energy = None if pair else float(powers[xs, ys] @ nu_float)
+            results.append(TestMapResult(name, pair is None, energy, pair))
         rows.append(
             CertificateRow(
                 index,
@@ -549,27 +540,32 @@ def _supplied_map(fmap, n: int) -> np.ndarray:
     return np.array(values)
 
 
+def _pair_test(values, rho, p):
+    """|f(x) - f(y)|_p^p per pair, and the first pair x < y (row-major) farther apart than rho + 1e-9, or None."""
+    powers = sum(np.abs(col[:, None] - col[None, :]) ** p for col in values.T)
+    violations = np.flatnonzero(np.triu(powers ** (1.0 / p) > rho + 1e-9, 1))
+    return powers, divmod(int(violations[0]), len(values)) if violations.size else None
+
+
 def _default_test_maps(graph, rho, p, rng):
-    """Distance coordinates from two seeded roots plus two greedily extended
-    random maps staying inside the modulus envelope; rho is the (n, n) table
-    of the modulus at each pair's distance."""
-    maps = []
+    """Distance maps from two seeded roots, then cone maps with one and two
+    coordinates, each x -> min over s in S of g(s) + rho(d(x, s)) (McShane's
+    extension), S a seeded set of max(1, n // 4) vertices and g uniform in
+    [0, max rho), all read off rho, the (n, n) table of the modulus at each distance.
+    Each map is scaled by c = min over pairs with f(x) != f(y) of rho / |f(x) - f(y)|_p, stepped
+    down until it passes _pair_test, and stays as built where c is 0 (rho(1) = 0) or undefined."""
     n = graph.n
-    for _ in range(2):
-        root = rng.randrange(n)
-        maps.append((f"distance-from-{graph.labels[root]}", rho[root][:, None]))
+    maps = [(f"distance-from-{graph.labels[r]}", rho[r][:, None]) for r in (rng.randrange(n), rng.randrange(n))]
     for dims in (1, 2):
-        scale = dims ** (-1.0 / p)
-        coords = np.zeros((n, dims))
-        order = list(range(n))
-        rng.shuffle(order)
-        for d in range(dims):
-            # order[0] stays at 0; each later vertex lands inside the band the
-            # already placed ones allow, or at its midpoint if it is empty
-            for t in range(1, n):
-                x, placed = order[t], order[:t]
-                lo = (coords[placed, d] - scale * rho[x, placed]).max()
-                hi = (coords[placed, d] + scale * rho[x, placed]).min()
-                coords[x, d] = (lo + hi) / 2.0 if lo > hi else lo + rng.random() * (hi - lo)
-        maps.append((f"greedy-{dims - 1}", coords))
-    return maps
+        cones = [(rho[sites] + rho.max() * np.array([rng.random() for _ in sites])[:, None]).min(axis=0)
+                 for sites in (rng.sample(range(n), max(1, n // 4)) for _ in range(dims))]
+        maps.append((f"cone-{dims - 1}", np.column_stack(cones)))
+    scaled = []
+    for name, values in maps:
+        norms = _pair_test(values, rho, p)[0] ** (1.0 / p)
+        c = (rho[norms > 0] / norms[norms > 0]).min(initial=np.inf)
+        shrink = 2.0**-52  # c (1 - 2^-52) is at least one ulp below c; the 53rd doubling gives c = 0
+        while 0 < c < np.inf and _pair_test(c * values, rho, p)[1]:
+            c, shrink = c * (1 - shrink), 2 * shrink
+        scaled.append((name, c * values if 0 < c < np.inf else values))
+    return scaled

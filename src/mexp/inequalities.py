@@ -75,8 +75,8 @@ def _report(name: str, checks: Sequence[BoundCheck], inputs: dict) -> Inequality
 
 
 def _ratio_data(graph: MeasuredGraph) -> tuple[Fraction, int]:
-    """The measure-ratio bound s and the valency bound K of a graph."""
-    if graph.ratio_bound is None:
+    """The measure-ratio bound s and the valency bound K of a graph with full support."""
+    if not graph.full_support:
         raise InputError("measure-ratio bound undefined: measure lacks full support")
     return graph.ratio_bound, graph.max_valency
 

@@ -111,6 +111,11 @@ def _energies(eu, ev, aw, pairw, F: np.ndarray, p: float, eps: float = 0.0):
     return edge, pair
 
 
+def _in_range(edge: np.ndarray, pair: np.ndarray) -> np.ndarray:
+    """Where both energies lie within 1e-150..1e150, the range that keeps the ratio gradient finite."""
+    return (np.minimum(edge, pair) > 1e-150) & (np.maximum(edge, pair) < 1e150)
+
+
 def _magnitude(x: np.ndarray, eps: float) -> np.ndarray:
     """|x|, or its smoothing sqrt(x^2 + eps^2) when eps > 0."""
     return np.sqrt(x * x + eps * eps) if eps > 0.0 else np.abs(x)
@@ -205,8 +210,7 @@ def optimal_lp_constant(
         ratio = edge / pair
     eta = np.full(len(F), 0.1)
     history, iterations = [ratio.min()], 0
-    # energies within 1e-150..1e150 keep the gradient finite; with no such start row the batch is skipped
-    valid = (np.minimum(edge, pair) > 1e-150) & (np.maximum(edge, pair) < 1e150)
+    valid = _in_range(edge, pair)  # with no start row in range the batch is skipped
     while valid.any() and iterations < min(_BATCH_STEPS, max_iters):
         grad = _ratio_gradient(arrays, F, p, eps, edge, pair)
         tangent = grad - (grad * F).sum(axis=1, keepdims=True) * F
@@ -223,7 +227,7 @@ def optimal_lp_constant(
         history.append(ratio.min())
         if iterations >= _STALL_WINDOW and history[-1 - _STALL_WINDOW] - history[-1] <= _STALL_RTOL * history[-1]:
             break
-    valid = (np.minimum(edge, pair) > 1e-150) & (np.maximum(edge, pair) < 1e150)
+    valid = _in_range(edge, pair)
     best = np.argmin(np.where(valid, ratio, np.inf), keepdims=True)
     if not valid[best[0]]:
         raise InputError(f"at p = {p!r} the energies leave the float range the search needs, 1e-150 to 1e150")
@@ -242,8 +246,7 @@ def optimal_lp_constant(
         cand = _project(f - backtrack[:, None] * (basis @ step))
         cand_edge, cand_pair = _energies(eu, ev, aw, pairw, cand, p, eps)
         ratio, cand_ratio = edge[0] / pair[0], cand_edge / cand_pair
-        fell = (np.minimum(cand_edge, cand_pair) > 1e-150) & (np.maximum(cand_edge, cand_pair) < 1e150)
-        fell &= cand_ratio < ratio - 1e-15 * ratio
+        fell = _in_range(cand_edge, cand_pair) & (cand_ratio < ratio - 1e-15 * ratio)
         k = np.append(np.flatnonzero(fell), -1)[:1]
         converged = ratio - cand_ratio[k[0]] <= 1e-14 * ratio
         f, edge, pair = cand[k], cand_edge[k], cand_pair[k]

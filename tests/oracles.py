@@ -229,6 +229,23 @@ def _modulus_violation(values, dist, rho_plus, p: float):
     return None
 
 
+def unscaled_default_maps(graph, rho_plus, rng):
+    """The certificate's four default maps before scaling, value by value and
+    in its draw order: distance maps from two roots, then cone maps with one
+    and two coordinates, x -> min over s in S of g(s) + rho(d(x, s))."""
+    n, dist = graph.n, brute_distances(graph)
+    top = max(rho_plus(d) for row in dist for d in row)
+    maps = [[[rho_plus(dist[root][x])] for x in range(n)] for root in (rng.randrange(n), rng.randrange(n))]
+    for dims in (1, 2):
+        coords = []
+        for _ in range(dims):
+            sites = rng.sample(range(n), max(1, n // 4))
+            offsets = [top * rng.random() for _ in sites]
+            coords.append([min(g + rho_plus(dist[x][s]) for s, g in zip(sites, offsets)) for x in range(n)])
+        maps.append([list(row) for row in zip(*coords)])
+    return maps
+
+
 def brute_certificate_energy(values, nu, p: float) -> float:
     """sum over the pair measure of |f(x) - f(y)|_p^p nu(x, y), pair by pair."""
     return sum(_lp_distance(values[x], values[y], p) ** p * float(w) for (x, y), w in nu.items())

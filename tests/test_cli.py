@@ -464,24 +464,35 @@ class TestCertifyCommand:
         assert code == 0
 
 
-    def test_violating_pairs_are_json_int_pairs(self, capsys, tmp_path):
-        # a steep modulus makes every default map violate it
-        fam = tmp_path / "fam"
-        fam.mkdir()
-        (fam / "g0.json").write_text(dump_graph(make_cycle(16, probability_counting_measure(16))), encoding="utf-8")
+    def c16_with_rho(self, tmp_path, table):
         rho = tmp_path / "rho.json"
-        rho.write_text("[0, 1, 10]", encoding="utf-8")
-        code, out, _ = run(capsys, "certify", "--dir", str(fam), "--p", "2", "--rho", str(rho))
+        rho.write_text(table, encoding="utf-8")
+        return "--dir", self.c16_family(tmp_path), "--p", "2", "--rho", str(rho)
+
+    def test_violating_pairs_are_json_int_pairs(self, capsys, tmp_path):
+        # a modulus that vanishes at distance 1 forbids the default maps to
+        # move across an edge, so no scale brings them inside it
+        code, out, _ = run(capsys, "certify", *self.c16_with_rho(tmp_path, "[0, 0, 1]"))
         assert code == 4  # no map was tested against the energy bound
         results = report_of(out)["results"]
         assert results["untested"] is True and results["rows"][0]["untested"] is True
         maps = results["rows"][0]["test_maps"]
-        assert [m["name"] for m in maps] == ["distance-from-12", "distance-from-13", "greedy-0", "greedy-1"]
+        assert [m["name"] for m in maps] == ["distance-from-12", "distance-from-13", "cone-0", "cone-1"]
         for m in maps:
             assert m["accepted"] is False and m["energy"] is None
             pair = m["violating_pair"]
             assert isinstance(pair, list) and len(pair) == 2 and all(type(v) is int for v in pair)
         assert maps[0]["violating_pair"] == [10, 11]
+
+    def test_steep_modulus_is_tested(self, capsys, tmp_path):
+        # rho(2) - rho(1) = 9 > rho(1): unscaled, the distance maps break this modulus
+        code, out, err = run(capsys, "certify", *self.c16_with_rho(tmp_path, "[0, 1, 10]"))
+        assert code == 0, err
+        results = report_of(out)["results"]
+        row = results["rows"][0]
+        assert results["untested"] is False and row["untested"] is False
+        assert [m["accepted"] for m in row["test_maps"]] == [True] * 4
+        assert row["max_tested_energy"] <= results["energy_bound"]
 
 
 GOLDEN_DOCUMENT = """{
@@ -770,8 +781,8 @@ class TestGoldenResults:
             "test_maps": [
                 accepted("distance-from-12", 27.2),
                 accepted("distance-from-13", 27.957894736842107),
-                accepted("greedy-0", 6.658414251301534),
-                accepted("greedy-1", 6.0748971644626915),
+                accepted("cone-0", 19.0388172332788),
+                accepted("cone-1", 17.22455517122754),
             ],
         }
         if nu is not None:

@@ -2,6 +2,7 @@ import math
 import random
 from fractions import Fraction
 
+import numpy as np
 import pytest
 
 import helpers
@@ -26,7 +27,7 @@ from mexp.families import (
     probability_counting_measure,
     random_regular,
 )
-from mexp import cheeger
+from mexp import cheeger, families
 from mexp.graphs import measure_of, vertex_boundary
 
 
@@ -377,44 +378,45 @@ def _oracle_families():
     }
 
 
-# Default test maps per member as (name, energy), pinned to the values of the
-# pair-by-pair implementation the array passes replaced; None marks a skipped
-# member.  Counting and probability-counting measures normalize to the same
-# member, so they share one entry.
+# Default test maps per member as (name, energy) at seed 5, in the order the
+# certificate draws them; each energy is also checked pair by pair against
+# oracles.brute_certificate_energy below.  None marks a skipped member.
+# Counting and probability-counting measures normalize to the same member, so
+# they share one entry.
 _PINNED_DEFAULT_MAPS = {
     "regular/identity": [
-        [("distance-from-9", 2.133333333333332), ("distance-from-4", 1.7999999999999992), ("greedy-0", 1.010975662810852), ("greedy-1", 0.6938083563735362)],
-        [("distance-from-4", 3.005263157894726), ("distance-from-8", 3.426315789473676), ("greedy-0", 1.5262166782110818), ("greedy-1", 1.4341071432078896)],
-        [("distance-from-17", 3.875000000000005), ("distance-from-18", 4.910714285714275), ("greedy-0", 1.616287846645792), ("greedy-1", 1.0538742329750677)],
+        [("distance-from-9", 2.1333333333333333), ("distance-from-4", 1.7999999999999998), ("cone-0", 1.4222222222222223), ("cone-1", 1.8574353590796635)],
+        [("distance-from-7", 4.73157894736842), ("distance-from-0", 3.426315789473684), ("cone-0", 0.9949668424993198), ("cone-1", 1.8279193418531272)],
+        [("distance-from-0", 5.446428571428571), ("distance-from-21", 4.071428571428571), ("cone-0", 2.2020814959383763), ("cone-1", 2.432362602470109)],
     ],
     "regular/table": [
-        [("distance-from-9", 0.5653333333333332), ("distance-from-4", 0.5342222222222224), ("greedy-0", 0.5178998803355067), ("greedy-1", 0.5069142315892153)],
-        [("distance-from-4", 0.36442105263157737), ("distance-from-8", 0.3587368421052611), ("greedy-0", 0.3877628441578039), ("greedy-1", 0.47066179590919865)],
-        [("distance-from-17", 0.26183035714285724), ("distance-from-18", 0.262008928571428), ("greedy-0", 0.34736707445255033), ("greedy-1", 0.3873367933531626)],
+        [("distance-from-9", 0.5653333333333334), ("distance-from-4", 0.5342222222222222), ("cone-0", 0.5398226435131849), ("cone-1", 0.5978702451709911)],
+        [("distance-from-7", 0.36442105263157865), ("distance-from-0", 0.358736842105263), ("cone-0", 0.47178356139124017), ("cone-1", 0.47306939469900083)],
+        [("distance-from-0", 0.2618303571428571), ("distance-from-21", 0.26200892857142855), ("cone-0", 0.5932104455909101), ("cone-1", 0.4444753314422316)],
     ],
     "regular-random/identity": [
         None,
-        [("distance-from-19", 3.2627768510309303), ("distance-from-8", 3.5964281262299216), ("greedy-0", 0.699333004303423), ("greedy-1", 1.0492653960792004)],
-        [("distance-from-17", 3.5259014364511567), ("distance-from-5", 5.659212680530917), ("greedy-0", 3.13308464468757), ("greedy-1", 1.9527210206850985)],
+        [("distance-from-19", 3.26277685103093), ("distance-from-8", 3.5964281262299242), ("cone-0", 1.3095141292146495), ("cone-1", 1.793274077980761)],
+        [("distance-from-10", 5.579451634279923), ("distance-from-18", 4.611446781140976), ("cone-0", 3.6566452894171206), ("cone-1", 1.81829484191074)],
     ],
     "regular-random/table": [
         None,
-        [("distance-from-19", 0.44399748167632436), ("distance-from-8", 0.35437021599037405), ("greedy-0", 0.42022688777206907), ("greedy-1", 0.3630025691786499)],
-        [("distance-from-17", 0.17998006120022642), ("distance-from-5", 0.23092993646091217), ("greedy-0", 0.39192031168929453), ("greedy-1", 0.40623743135717566)],
+        [("distance-from-19", 0.44399748167632397), ("distance-from-8", 0.3543702159903749), ("cone-0", 0.4640493915842597), ("cone-1", 0.45104253847215575)],
+        [("distance-from-10", 0.33658861363946435), ("distance-from-18", 0.236582552088409), ("cone-0", 0.45007810045594), ("cone-1", 0.5146807762409178)],
     ],
     "cycles/identity": [
         None,
-        [("distance-from-8", 6.348589802494217), ("distance-from-11", 6.348589802494219), ("greedy-0", 2.298328324768984), ("greedy-1", 4.009444536688465)],
+        [("distance-from-8", 6.348589802494223), ("distance-from-11", 6.3485898024942236), ("cone-0", 6.348589802494223), ("cone-1", 4.378536496783627)],
     ],
     "cycles/table": [
         None,
-        [("distance-from-8", 0.417659395975421), ("distance-from-11", 0.41765939597542107), ("greedy-0", 0.630276548010991), ("greedy-1", 0.5241416098335105)],
+        [("distance-from-8", 0.41765939597542123), ("distance-from-11", 0.41765939597542134), ("cone-0", 0.4287898790343502), ("cone-1", 0.6466523429251337)],
     ],
     "c64/identity": [
-        [("distance-from-32", 3689.9956140351505), ("distance-from-45", 3689.9956140351283), ("greedy-0", 887.9285284718085), ("greedy-1", 336.10848124912764)],
+        [("distance-from-32", 3689.9956140350882), ("distance-from-45", 3689.995614035088), ("cone-0", 236.9767495983799), ("cone-1", 363.2175071701553)],
     ],
     "c64/table": [
-        [("distance-from-32", 0.17545997807017347), ("distance-from-45", 0.1754599780701736), ("greedy-0", 0.38326556315048865), ("greedy-1", 0.40327790233994615)],
+        [("distance-from-32", 0.17545997807017544), ("distance-from-45", 0.17545997807017544), ("cone-0", 0.5317225353593167), ("cone-1", 0.7157053308505952)],
     ],
 }  # fmt: skip
 
@@ -435,6 +437,7 @@ def test_certificate_matches_pair_by_pair_oracle(name, table):
     cert = generalised_certificate(GraphFamily(members=tuple(members)), p, rho_plus=rho_plus, test_maps=supplied, seed=5)
     oracle_rho = (lambda d: float(d)) if rho_plus is None else rho_plus
     pinned = _PINNED_DEFAULT_MAPS[f"{name.replace('-counting', '').replace('-probability', '')}/{table}"]
+    default_rng = random.Random(5)  # the certificate's seed, drawn member by member past the skipped ones
     for graph, maps, row, expected in zip(members, supplied, cert.rows, pinned, strict=True):
         if expected is None:
             assert row.skipped is not None and row.test_maps == () and row.pair_measure is None
@@ -444,9 +447,11 @@ def test_certificate_matches_pair_by_pair_oracle(name, table):
         assert all(type(x) is int and type(y) is int for x, y in row.pair_measure)
         assert row.symmetric is True and row.probability is True and row.supported_off_cutoff is True
         dist = oracles.brute_distances(graph)
+        rho = np.array([[oracle_rho(d) for d in by_y] for by_y in dist])
+        defaults = [values.tolist() for _, values in families._default_test_maps(graph, rho, p, default_rng)]
         results = row.test_maps
         assert [t.name for t in results] == ["supplied-0", "supplied-1"] + [e[0] for e in expected]
-        for values, result in zip(maps, results):
+        for values, result in zip(maps + defaults, results, strict=True):
             violation = oracles._modulus_violation(values, dist, oracle_rho, p)
             assert result.accepted == (violation is None) and result.violating_pair == violation
             if violation is None:
@@ -456,3 +461,49 @@ def test_certificate_matches_pair_by_pair_oracle(name, table):
             assert result.accepted and result.energy == pytest.approx(pin, rel=1e-12)
         energies = [t.energy for t in results if t.accepted]
         assert row.max_tested_energy == max(energies)
+
+
+def _default_map_graphs():
+    """The oracle families' distinct graphs; default maps read no measure."""
+    families_ = _oracle_families()
+    return [g for name in ("regular-counting", "cycles", "c64") for g in families_[name][0]]
+
+
+@pytest.mark.parametrize("p", [1.0, 2.0, 3.0])
+@pytest.mark.parametrize(
+    "modulus", [None, (0, 1, 1.5, 1.7), (0, 1, 10), (0, 1e12, 1e13)], ids=["identity", "concave", "steep", "huge"]
+)
+def test_default_maps_touch_the_modulus(modulus, p):
+    oracle_rho = (lambda d: float(d)) if modulus is None else RhoTable(modulus)
+    for graph in _default_map_graphs():
+        dist = oracles.brute_distances(graph)
+        rho = np.array([[oracle_rho(d) for d in by_y] for by_y in dist])
+        maps = families._default_test_maps(graph, rho, p, random.Random(3))
+        built = oracles.unscaled_default_maps(graph, oracle_rho, random.Random(3))
+        assert [name.split("-")[0] for name, _ in maps] == ["distance", "distance", "cone", "cone"]
+        for (name, values), unscaled in zip(maps, map(np.array, built), strict=True):
+            top = np.abs(unscaled).argmax()
+            assert values == pytest.approx(values.flat[top] / unscaled.flat[top] * unscaled, rel=1e-14), name
+            f = values.tolist()
+            assert oracles._modulus_violation(f, dist, oracle_rho, p) is None, name
+            stretch = max(
+                oracles._lp_distance(f[x], f[y], p) / oracle_rho(dist[x][y])
+                for x in range(graph.n)
+                for y in range(x + 1, graph.n)
+            )
+            assert stretch == pytest.approx(1.0, rel=1e-12), name
+            if modulus is None and name.startswith("distance"):
+                assert np.array_equal(values, unscaled)  # it touches the identity modulus as built: scale 1
+
+
+@pytest.mark.parametrize("p", [1.0, 2.0, 3.0])
+def test_default_maps_stay_as_built_where_rho_vanishes_at_one(p):
+    oracle_rho = RhoTable((0, 0, 1))
+    for graph in _default_map_graphs():
+        dist = oracles.brute_distances(graph)
+        rho = np.array([[oracle_rho(d) for d in by_y] for by_y in dist])
+        maps = families._default_test_maps(graph, rho, p, random.Random(3))
+        built = oracles.unscaled_default_maps(graph, oracle_rho, random.Random(3))
+        for (name, values), unscaled in zip(maps, built, strict=True):
+            assert values.tolist() == unscaled, name
+            assert oracles._modulus_violation(unscaled, dist, oracle_rho, p) is not None, name

@@ -24,7 +24,8 @@ from mexp import (
     verify_poincare_to_cheeger,
 )
 from mexp import cheeger
-from mexp.graphs import diameter
+from mexp.cli import main
+from mexp.graphs import diameter, dump_graph
 from mexp.families import make_cycle
 from mexp.poincare import cp_formula
 from mexp.rationals import format_rational
@@ -243,6 +244,27 @@ class TestPoincareToCheeger:
         for _ in range(30):
             g = helpers.rand_connected(rng, 3, 10, measured=True)
             assert verify_poincare_to_cheeger(g).holds
+
+
+class TestPartialSupport:
+    def test_refused_before_the_enumeration(self, monkeypatch, tmp_path, capsys):
+        # an isolated vertex of mass 0 touches no edge, so s is defined (1)
+        # and only the full-support test refuses the graph before the enumeration
+        def unreachable(*args):
+            raise AssertionError("the enumeration ran for a measure without full support")
+
+        monkeypatch.setattr(cheeger, "_minimize_ratio", unreachable)
+        graph = MeasuredGraph.build(7, make_cycle(6).edges, [1] * 6 + [0])
+        assert graph.ratio_bound == 1 and not graph.full_support
+        for verifier in (verify_measured_sandwich, verify_poincare_to_cheeger):
+            with pytest.raises(InputError, match="lacks full support"):
+                verifier(graph)
+        path = tmp_path / "c6-plus-null.json"
+        path.write_text(dump_graph(graph), encoding="utf-8")
+        for theorem in ("measured-sandwich", "poincare-to-cheeger"):
+            assert main(["verify", "--input", str(path), "--theorem", theorem]) == 2
+            out = capsys.readouterr()
+            assert out.out == "" and "lacks full support" in out.err and "Traceback" not in out.err
 
 
 class TestSuiteVerifiers:
