@@ -26,7 +26,6 @@ from .families import (
     family_report,
     full_support_perturbation,
     generalised_certificate,
-    generate,
     product_segment,
 )
 from .graphs import (

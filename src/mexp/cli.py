@@ -44,7 +44,11 @@ from .families import (
     RhoTable,
     family_report,
     generalised_certificate,
-    generate,
+    make_complete,
+    make_cycle,
+    make_hypercube,
+    random_positive_measure,
+    random_regular,
 )
 from .graphs import MeasuredGraph, VertexSubset, dump_graph, load_conductance, load_graph
 from .inequalities import DEFAULT_TOLERANCE, THEOREMS
@@ -163,7 +167,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p.set_defaults(handler=_cmd_certify)
 
     p = sub.add_parser("generate", help="write a named graph document to stdout")
-    p.add_argument("kind", choices=["cycle", "complete", "hypercube", "random_regular"])
+    p.add_argument("kind", choices=_GENERATORS)
     p.add_argument("--n", type=int, default=None)
     p.add_argument("--k", type=int, default=None)
     p.add_argument("--d", type=int, default=None)
@@ -243,8 +247,6 @@ def _jsonable(obj):
         return {_KEYS.get(f.name, f.name): _jsonable(getattr(obj, f.name)) for f in dataclasses.fields(obj)}
     if isinstance(obj, Fraction):
         return format_rational(obj)
-    if isinstance(obj, float):
-        return float(f"{obj:.17g}")
     if isinstance(obj, dict):
         return {",".join(map(str, k)) if isinstance(k, tuple) else str(k): _jsonable(v) for k, v in obj.items()}
     if isinstance(obj, (list, tuple)):
@@ -300,8 +302,6 @@ def _cmd_verify(args):
 
 
 def _random_disjoint_pair(graph: MeasuredGraph, seed: int):
-    if graph.n < 2:
-        raise InputError("distance bound needs at least two vertices")
     rng = random.Random(seed)
     vertices = list(range(graph.n))
     rng.shuffle(vertices)
@@ -354,8 +354,24 @@ def _cmd_certify(args):
     return (1 if violated else 4 if cert.untested else 0), results
 
 
+# kind -> (its parameters, in the order a missing one is reported; a builder taking them and the seeded rng)
+_GENERATORS = {
+    "cycle": (("n",), lambda n, rng: make_cycle(n)),
+    "complete": (("n",), lambda n, rng: make_complete(n)),
+    "hypercube": (("d",), lambda d, rng: make_hypercube(d)),
+    "random_regular": (("n", "k"), random_regular),
+}
+
+
 def _cmd_generate(args):
-    graph = generate(args.kind, measure=args.measure, seed=args.seed, n=args.n, k=args.k, d=args.d)
+    names, build = _GENERATORS[args.kind]
+    values = [{"n": args.n, "k": args.k, "d": args.d}[name] for name in names]
+    if None in values:
+        raise InputError(f"generator {args.kind!r} needs parameter {names[values.index(None)]}")
+    rng = random.Random(args.seed)
+    graph = build(*values, rng)
+    if args.measure == "rationals":  # drawn after the graph, from the same rng
+        graph = graph.with_measure(random_positive_measure(graph.n, rng))
     return 0, dump_graph(graph)
 
 

@@ -169,36 +169,6 @@ def random_connected_graph(
     return MeasuredGraph.build(n, sorted(edges), measure or counting_measure(n))
 
 
-def generate(kind: str, measure: str = "counting", seed: int = 0, **params) -> MeasuredGraph:
-    """Named test-instance factory; deterministic given the seed.
-
-    kind: cycle(n) | complete(n) | hypercube(d) | random_regular(n, k)
-    measure: counting | rationals (seeded positive rationals)
-    """
-    def need(name: str) -> int:
-        value = params.get(name)
-        if value is None:
-            raise InputError(f"generator {kind!r} needs parameter {name}")
-        return int(value)
-
-    rng = random.Random(seed)
-    if kind == "cycle":
-        graph = make_cycle(need("n"))
-    elif kind == "complete":
-        graph = make_complete(need("n"))
-    elif kind == "hypercube":
-        graph = make_hypercube(need("d"))
-    elif kind == "random_regular":
-        graph = random_regular(need("n"), need("k"), rng)
-    else:
-        raise InputError(f"unknown generator kind {kind!r}")
-    if measure == "counting":
-        return graph
-    if measure == "rationals":
-        return graph.with_measure(random_positive_measure(graph.n, rng))
-    raise InputError(f"unknown measure kind {measure!r}")
-
-
 # -- constructions -------------------------------------------------------------
 
 
@@ -562,7 +532,10 @@ def _default_test_maps(graph, rho, p, rng):
         maps.append((f"cone-{dims - 1}", np.column_stack(cones)))
     scaled = []
     for name, values in maps:
-        norms = _pair_test(values, rho, p)[0] ** (1.0 / p)
+        # each pair's norm at its own scale, top (sum (|d| / top)^p)^(1/p), so no p-th power overflows
+        gaps = np.abs(values.T[:, :, None] - values.T[:, None, :])  # (coordinates, n, n)
+        top = gaps.max(axis=0)
+        norms = top * ((gaps / np.where(top > 0, top, 1.0)) ** p).sum(axis=0) ** (1.0 / p)
         c = (rho[norms > 0] / norms[norms > 0]).min(initial=np.inf)
         shrink = 2.0**-52  # c (1 - 2^-52) is at least one ulp below c; the 53rd doubling gives c = 0
         while 0 < c < np.inf and _pair_test(c * values, rho, p)[1]:

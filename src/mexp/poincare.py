@@ -18,7 +18,7 @@ import numpy as np
 from .graphs import MeasuredGraph
 from .rationals import InputError, scaled_floats
 from .spectral import delta_operator, eigenpairs
-from .walks import ReversibleWalk
+from .walks import ReversibleWalk, _auxiliary_conductance
 
 _SMOOTHING_EPS = 1e-9
 _STALL_WINDOW = 20
@@ -143,7 +143,7 @@ def measured_lp_check(graph: MeasuredGraph, f: Sequence[float], p: float) -> Mea
     form taken in the vertex measure m (not in the stationary measure)."""
     if not graph.full_support:
         raise InputError(f"vertex {graph.labels[graph.measure.index(0)]!r} has zero measure")
-    aw = [graph.measure[u] + graph.measure[v] for u, v in graph.edges]
+    aw = _auxiliary_conductance(graph)
     lhs, rhs, edge, pair = _function_energies(graph, aw, graph.measure, graph.total_measure, f, p)
     return MeasuredEnergyCheck(lhs=lhs, rhs=rhs, ratio=_ratio(edge, pair))
 

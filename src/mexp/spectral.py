@@ -32,7 +32,7 @@ import numpy as np
 
 from .graphs import MeasuredGraph
 from .rationals import InputError, scaled_floats, scaled_integers
-from .walks import ReversibleWalk
+from .walks import ReversibleWalk, _auxiliary_conductance
 
 
 @dataclass(frozen=True)
@@ -79,8 +79,7 @@ def lambda_operator(graph: MeasuredGraph) -> SelfAdjointOperator:
         raise InputError(f"vertex {graph.labels[graph.measure.index(0)]!r} has zero measure")
     if not graph.connected:
         raise InputError("the measured spectral gap is defined for connected graphs")
-    m = graph.measure
-    return _pencil(graph.n, graph.edges, [m[u] + m[v] for u, v in graph.edges], m, 1)
+    return _pencil(graph.n, graph.edges, _auxiliary_conductance(graph), graph.measure, 1)
 
 
 def _pencil(n: int, edges, weights, mass, components: int) -> SelfAdjointOperator:

@@ -91,8 +91,12 @@ def auxiliary_walk(graph: MeasuredGraph) -> ReversibleWalk:
         raise WalkError("auxiliary walk needs a measure with full support")
     if not graph.connected:
         raise WalkError("auxiliary walk needs a connected graph")
-    m = graph.measure
-    return from_conductance(graph, {(u, v): m[u] + m[v] for u, v in graph.edges})
+    return from_conductance(graph, dict(zip(graph.edges, _auxiliary_conductance(graph))))
+
+
+def _auxiliary_conductance(graph: MeasuredGraph) -> list[Fraction]:
+    """The auxiliary walk's conductance m(u) + m(v), in graph.edges order."""
+    return [graph.measure[u] + graph.measure[v] for u, v in graph.edges]
 
 
 def heat_kernel_measure(graph: MeasuredGraph, x0: int, k: int) -> tuple[Fraction, ...]:

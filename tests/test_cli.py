@@ -464,10 +464,10 @@ class TestCertifyCommand:
         assert code == 0
 
 
-    def c16_with_rho(self, tmp_path, table):
+    def c16_with_rho(self, tmp_path, table, p="2"):
         rho = tmp_path / "rho.json"
         rho.write_text(table, encoding="utf-8")
-        return "--dir", self.c16_family(tmp_path), "--p", "2", "--rho", str(rho)
+        return "--dir", self.c16_family(tmp_path), "--p", p, "--rho", str(rho)
 
     def test_violating_pairs_are_json_int_pairs(self, capsys, tmp_path):
         # a modulus that vanishes at distance 1 forbids the default maps to
@@ -491,6 +491,20 @@ class TestCertifyCommand:
         results = report_of(out)["results"]
         row = results["rows"][0]
         assert results["untested"] is False and row["untested"] is False
+        assert [m["accepted"] for m in row["test_maps"]] == [True] * 4
+        assert row["max_tested_energy"] <= results["energy_bound"]
+
+    @pytest.mark.filterwarnings("error")
+    @pytest.mark.parametrize(
+        "p, table", [("1.5", "[0, 1, 1e300]"), ("2", "[0, 1, 1e300]"), ("3", "[0, 1, 1e300]"), ("3", "[0, 1, 1e150]")]
+    )
+    def test_huge_modulus_is_tested(self, capsys, tmp_path, p, table):
+        # the unscaled maps' gaps reach the modulus' top value, whose p-th power overflows
+        code, out, err = run(capsys, "certify", *self.c16_with_rho(tmp_path, table, p))
+        assert code == 0, err
+        results = report_of(out)["results"]
+        row = results["rows"][0]
+        assert results["untested"] is False
         assert [m["accepted"] for m in row["test_maps"]] == [True] * 4
         assert row["max_tested_energy"] <= results["energy_bound"]
 
@@ -880,6 +894,12 @@ class TestGenerate:
         code, out, _ = run(capsys, "cheeger", "--input", str(path))
         assert code == 0
 
+    def test_rational_measure(self, capsys):
+        code, out, _ = run(capsys, "generate", "cycle", "--n", "5", "--measure", "rationals", "--seed", "3")
+        assert code == 0
+        masses = [Fraction(v["m"]) for v in json.loads(out)["vertices"]]
+        assert len(masses) == 5 and all(m > 0 for m in masses) and masses != [1] * 5
+
     def test_usage_error(self, capsys):
         code, _, _ = run(capsys, "generate", "nonsense")
         assert code == 2
@@ -1093,9 +1113,12 @@ class TestOptions:
 
 
 class TestReadme:
-    def cli_block(self):
+    def block(self, heading, language=""):
         text = (Path(cli.__file__).resolve().parents[2] / "README.md").read_text(encoding="utf-8")
-        block = re.search(r"## CLI\n\n```\n(.*?)```", text, re.S).group(1)
+        return re.search(rf"## {heading}\n\n```{language}\n(.*?)```", text, re.S).group(1)
+
+    def cli_block(self):
+        block = self.block("CLI")
         commands = {}
         for line in block.splitlines():
             head = re.match(r"mexp (\w+)", line)
@@ -1110,3 +1133,13 @@ class TestReadme:
             for name, p in subparsers().items()
         }
         assert self.cli_block() == declared
+
+    def test_library_example_gives_the_values_its_comments_state(self):
+        scope = {}
+        exec(self.block("Library", "python"), scope)
+        assert scope["cert"].value == Fraction(2, 3) and scope["cert"].witness.indices() == [0, 1, 2]
+        assert scope["walk"].mu == (4,) * 6
+        assert scope["gap"] == pytest.approx(0.5, abs=1e-12)
+        assert scope["report"].holds
+        est = scope["est"]
+        assert est.estimate == pytest.approx(0.5, abs=1e-12) and est.converged and est.iterations == 21

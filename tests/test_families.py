@@ -17,11 +17,11 @@ from mexp import (
     family_report,
     full_support_perturbation,
     generalised_certificate,
-    generate,
     heat_kernel_measure,
     product_segment,
 )
 from mexp.families import (
+    make_complete,
     make_cycle,
     make_hypercube,
     probability_counting_measure,
@@ -33,26 +33,26 @@ from mexp.graphs import measure_of, vertex_boundary
 
 class TestGenerate:
     def test_cycle(self):
-        g = generate("cycle", n=6)
+        g = make_cycle(6)
         assert g.n == 6 and all(g.degree(v) == 2 for v in range(6))
 
     def test_complete(self):
-        g = generate("complete", n=4)
+        g = make_complete(4)
         assert cheeger_vertex(g).value == 1
 
     def test_hypercube(self):
-        g = generate("hypercube", d=3)
+        g = make_hypercube(3)
         assert g.n == 8 and all(g.degree(v) == 3 for v in range(8))
         assert g.distances[0][7] == 3
 
     def test_random_regular_connected(self):
-        g = generate("random_regular", n=10, k=3, seed=7)
+        g = random_regular(10, 3, random.Random(7))
         assert g.n == 10 and all(g.degree(v) == 3 for v in range(10))
         assert g.connected
 
     def test_random_regular_deterministic(self):
-        a = generate("random_regular", n=12, k=3, seed=5)
-        b = generate("random_regular", n=12, k=3, seed=5)
+        a = random_regular(12, 3, random.Random(5))
+        b = random_regular(12, 3, random.Random(5))
         assert a.edges == b.edges
 
     def test_infeasible_degree(self):
@@ -91,11 +91,6 @@ class TestGenerate:
             (3, 14), (4, 6), (4, 16), (4, 17), (5, 11), (5, 15), (6, 12), (7, 10), (7, 16), (7, 18),
             (8, 15), (8, 17), (9, 16), (9, 19), (11, 12), (11, 13), (12, 18), (13, 17), (13, 18), (14, 19),
         )  # fmt: skip
-
-    def test_rational_measure(self):
-        g = generate("cycle", measure="rationals", seed=3, n=5)
-        assert all(m > 0 for m in g.measure)
-        assert g.measure != tuple([Fraction(1)] * 5)
 
 
 class TestProductSegment:
@@ -494,6 +489,16 @@ def test_default_maps_touch_the_modulus(modulus, p):
             assert stretch == pytest.approx(1.0, rel=1e-12), name
             if modulus is None and name.startswith("distance"):
                 assert np.array_equal(values, unscaled)  # it touches the identity modulus as built: scale 1
+
+
+def test_identity_distance_maps_keep_scale_one_where_the_plain_norm_rounds_up():
+    # at p = 2.5 the plain pair norm (k^p)^(1/p) rounds above k for some integers k >= 6
+    graph = make_cycle(24, list(range(1, 25)))
+    rho = np.array(graph.distances, dtype=float)
+    for seed in range(6):
+        for name, values in families._default_test_maps(graph, rho, 2.5, random.Random(seed))[:2]:
+            root = int(name.removeprefix("distance-from-"))  # a cycle's labels are its indices
+            assert np.array_equal(values, rho[root][:, None]), (seed, name)
 
 
 @pytest.mark.parametrize("p", [1.0, 2.0, 3.0])
