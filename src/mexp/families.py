@@ -519,15 +519,15 @@ def _pair_test(values, rho, p):
 
 def _default_test_maps(graph, rho, p, rng):
     """Distance maps from two seeded roots, then cone maps with one and two
-    coordinates, each x -> min over s in S of g(s) + rho(d(x, s)) (McShane's
-    extension), S a seeded set of max(1, n // 4) vertices and g uniform in
-    [0, max rho), all read off rho, the (n, n) table of the modulus at each distance.
+    coordinates, each x -> min over s in S of g(s) + rho(d(x, s)) / max rho
+    (McShane's extension), S a seeded set of max(1, n // 4) vertices and g
+    uniform in [0, 1), all read off rho, the (n, n) table of the modulus at each distance.
     Each map is scaled by c = min over pairs with f(x) != f(y) of rho / |f(x) - f(y)|_p, stepped
     down until it passes _pair_test, and stays as built where c is 0 (rho(1) = 0) or undefined."""
     n = graph.n
     maps = [(f"distance-from-{graph.labels[r]}", rho[r][:, None]) for r in (rng.randrange(n), rng.randrange(n))]
-    for dims in (1, 2):
-        cones = [(rho[sites] + rho.max() * np.array([rng.random() for _ in sites])[:, None]).min(axis=0)
+    for dims in (1, 2):  # cones of rho / max rho stay below 2 at any modulus; the scale c restores the size
+        cones = [(rho[sites] / (rho.max() or 1.0) + np.array([rng.random() for _ in sites])[:, None]).min(axis=0)
                  for sites in (rng.sample(range(n), max(1, n // 4)) for _ in range(dims))]
         maps.append((f"cone-{dims - 1}", np.column_stack(cones)))
     scaled = []
@@ -536,7 +536,8 @@ def _default_test_maps(graph, rho, p, rng):
         gaps = np.abs(values.T[:, :, None] - values.T[:, None, :])  # (coordinates, n, n)
         top = gaps.max(axis=0)
         norms = top * ((gaps / np.where(top > 0, top, 1.0)) ** p).sum(axis=0) ** (1.0 / p)
-        c = (rho[norms > 0] / norms[norms > 0]).min(initial=np.inf)
+        with np.errstate(over="ignore"):  # a ratio past the float range is inf, so never the minimum
+            c = (rho[norms > 0] / norms[norms > 0]).min(initial=np.inf)
         shrink = 2.0**-52  # c (1 - 2^-52) is at least one ulp below c; the 53rd doubling gives c = 0
         while 0 < c < np.inf and _pair_test(c * values, rho, p)[1]:
             c, shrink = c * (1 - shrink), 2 * shrink

@@ -295,7 +295,7 @@ def verify_lp_poincare(
     n = walk.graph.n
     draws = ([rng.gauss(0.0, 1.0) for _ in range(n)] for _ in range(trials))
     rows = np.array([f for f in draws if max(f) != min(f)]).reshape(-1, n)
-    edge, pair = _energies(*_walk_arrays(walk), rows, p)
+    edge, pair = _energies(_walk_arrays(walk), rows, p)
     worst = float((edge / pair).min(initial=math.inf))
     checks = (_check("c_p <= min energy ratio", floor, worst, tol),)
     return _report(

@@ -4,7 +4,9 @@ for the optimal constant.
 Conventions: every inequality here sums over ordered pairs on both sides,
   sum_{u~v} |f(u)-f(v)|^p a(u,v)  >=  c_p sum_{u,v} |f(u)-f(v)|^p mu(u)mu(v)/mu(V)
 so the edge-sum form is obtained by halving the left side.  This removes the
-classic factor-of-two ambiguity; tests cross-check both conventions.
+classic factor-of-two ambiguity; tests cross-check both conventions.  Both
+sides, their gradients and Hessians are read off one pair form: the pairs
+u < v, each weighted by 2 a(u,v) and by 2 mu(u)mu(v)/mu(V) (see _arrays).
 """
 
 from __future__ import annotations
@@ -93,32 +95,36 @@ def _check_exponent(p: float) -> None:
 
 
 def _walk_arrays(walk: ReversibleWalk):
-    """Edge ends, conductances and pair weights mu(u)mu(v)/mu(V) of a walk, both weights times 2^-shift."""
+    """The pair form of a walk's energies (see _arrays)."""
     return _arrays(walk.graph, [walk.a[e] for e in walk.graph.edges], walk.mu, walk.total_mu)[0]
 
 
 def _arrays(graph: MeasuredGraph, edge_weights, weights, total):
-    eu, ev = np.array(graph.edges, dtype=np.intp).reshape(-1, 2).T
+    """Pair form of both energies, and the shift: pairs u < v in triu order, their incidence (+1 at u, -1 at v)
+    and weights 2 a(u, v) (0 off the edges) and 2 mu(u)mu(v)/mu(V) as two columns, both times 2^-shift."""
+    n, m = graph.n, len(edge_weights)
+    iu, iv = np.triu_indices(n, 1)
     x, shift = scaled_floats([*edge_weights, *weights, total])
-    w = x[len(edge_weights) : -1]
-    return (eu, ev, x[: len(edge_weights)], np.outer(w, w) / x[-1]), shift
+    conductance = np.zeros((n, n))
+    conductance[tuple(np.array(graph.edges, dtype=np.intp).reshape(-1, 2).T)] = x[:m]
+    w = x[m:-1]
+    pair_weights = 2.0 * np.column_stack([conductance[iu, iv], w[iu] * w[iv] / x[-1]])
+    return (iu, iv, pair_weights, np.eye(n)[iu] - np.eye(n)[iv]), shift
 
 
-def _energies(eu, ev, aw, pairw, F: np.ndarray, p: float, eps: float = 0.0):
-    """Ordered-pair edge energy and pair energy for a batch F of row vectors."""
-    edge = 2.0 * (aw * _magnitude(F[:, eu] - F[:, ev], eps) ** p).sum(axis=1)
-    pair = (pairw * _magnitude(F[:, :, None] - F[:, None, :], eps) ** p).sum(axis=(1, 2))
-    return edge, pair
+def _energies(form, F: np.ndarray, p: float, eps: float = 0.0):
+    """Ordered-pair edge and pair energy of each row of F, from one power per pair
+    u < v of d = F[:, u] - F[:, v]: |d|^p (d * d would overflow at half d's float
+    range), or (d^2 + eps^2)^(p/2) when eps > 0, where the pair energy leaves out the
+    constant diagonal terms mu(u)^2 eps^p / mu(V), about 1e-14 of it at p = 1.5."""
+    iu, iv, weights, _ = form
+    d = F[:, iu] - F[:, iv]
+    return (((d * d + eps * eps) ** (p / 2.0) if eps > 0.0 else np.abs(d) ** p) @ weights).T
 
 
 def _in_range(edge: np.ndarray, pair: np.ndarray) -> np.ndarray:
     """Where both energies lie within 1e-150..1e150, the range that keeps the ratio gradient finite."""
     return (np.minimum(edge, pair) > 1e-150) & (np.maximum(edge, pair) < 1e150)
-
-
-def _magnitude(x: np.ndarray, eps: float) -> np.ndarray:
-    """|x|, or its smoothing sqrt(x^2 + eps^2) when eps > 0."""
-    return np.sqrt(x * x + eps * eps) if eps > 0.0 else np.abs(x)
 
 
 def lp_energy_pair(walk: ReversibleWalk, f: Sequence[float], p: float) -> tuple[float, float]:
@@ -159,8 +165,8 @@ def _function_energies(graph, edge_weights, weights, total, f: Sequence[float], 
     vec = np.asarray(f, dtype=float)
     if vec.shape != (graph.n,):
         raise InputError(f"function length {vec.shape} does not match {graph.n} vertices")
-    arrays, shift = _arrays(graph, edge_weights, weights, total)
-    (edge,), (pair,) = _energies(*arrays, vec[None, :], p)
+    form, shift = _arrays(graph, edge_weights, weights, total)
+    (edge,), (pair,) = _energies(form, vec[None, :], p)
     with np.errstate(over="ignore"):
         return float(np.ldexp(edge, shift)), float(np.ldexp(pair, shift)), float(edge), float(pair)
 
@@ -197,27 +203,24 @@ def optimal_lp_constant(
         raise InputError("optimal constant search needs a connected graph on at least two vertices")
     if restarts < 1:
         raise InputError("need at least one restart")
-    eu, ev, aw, pairw = _walk_arrays(walk)
-    # the edge part of the ratio gradient is one product t @ incidence
-    incidence = (eu[:, None] == np.arange(n)).astype(float) - (ev[:, None] == np.arange(n))
-    arrays = (eu, ev, aw, pairw, incidence)
+    form = _walk_arrays(walk)
     eps = _SMOOTHING_EPS if p < 2 else 0.0
     rng = random.Random(seed)
     start = [[rng.gauss(0.0, 1.0) for _ in range(n)] for _ in range(restarts)]
     F = _project(np.array([*start, eigenpairs(delta_operator(walk))[1][:, 1]]))
     with np.errstate(all="ignore"):  # at an extreme p no start row's energies are in range
-        edge, pair = _energies(eu, ev, aw, pairw, F, p, eps)
+        edge, pair = _energies(form, F, p, eps)
         ratio = edge / pair
     eta = np.full(len(F), 0.1)
     history, iterations = [ratio.min()], 0
     valid = _in_range(edge, pair)  # with no start row in range the batch is skipped
     while valid.any() and iterations < min(_BATCH_STEPS, max_iters):
-        grad = _ratio_gradient(arrays, F, p, eps, edge, pair)
+        grad = _ratio_gradient(form, F, p, eps, edge, pair)
         tangent = grad - (grad * F).sum(axis=1, keepdims=True) * F
         tangent = tangent - tangent.mean(axis=1, keepdims=True)
         iterations += 1
         cand = _project(F - eta[:, None] * tangent)
-        cand_edge, cand_pair = _energies(eu, ev, aw, pairw, cand, p, eps)
+        cand_edge, cand_pair = _energies(form, cand, p, eps)
         cand_ratio = cand_edge / cand_pair
         accept = np.isfinite(cand_ratio) & (cand_ratio < ratio - 1e-15 * np.abs(ratio))
         F = np.where(accept[:, None], cand, F)
@@ -234,23 +237,23 @@ def optimal_lp_constant(
     f, edge, pair, converged = F[best], edge[best], pair[best], False
     backtrack = np.append(0.5 ** np.arange(40), 0.0)  # Newton step factors; the last one stays put
     while True:
-        grad = _ratio_gradient(arrays, f, p, eps, edge, pair)[0]
+        grad = _ratio_gradient(form, f, p, eps, edge, pair)[0]
         proj = np.eye(n) - 1.0 / n - np.outer(f, f)
         tangent = proj @ grad
         if converged or iterations >= max_iters:
             break
         iterations += 1
-        hess = _ratio_hessian(arrays, f[0], p, eps, edge[0], pair[0], grad)
+        hess = _ratio_hessian(form, f[0], p, eps, edge[0], pair[0], grad)
         curvature, basis = np.linalg.eigh(np.einsum("ij,jk,kl->il", proj, hess, proj))
         step = basis.T @ tangent / np.where(curvature > 1e-12 * np.abs(curvature).max(), curvature, 1.0 / eta[best])
         cand = _project(f - backtrack[:, None] * (basis @ step))
-        cand_edge, cand_pair = _energies(eu, ev, aw, pairw, cand, p, eps)
+        cand_edge, cand_pair = _energies(form, cand, p, eps)
         ratio, cand_ratio = edge[0] / pair[0], cand_edge / cand_pair
         fell = _in_range(cand_edge, cand_pair) & (cand_ratio < ratio - 1e-15 * ratio)
         k = np.append(np.flatnonzero(fell), -1)[:1]
         converged = ratio - cand_ratio[k[0]] <= 1e-14 * ratio
         f, edge, pair = cand[k], cand_edge[k], cand_pair[k]
-    final_edge, final_pair = _energies(eu, ev, aw, pairw, f, p, 0.0)
+    final_edge, final_pair = _energies(form, f, p, 0.0)
     return PoincareEstimate(
         p=float(p),
         estimate=float(final_edge[0] / final_pair[0]),
@@ -270,33 +273,28 @@ def _project(F: np.ndarray) -> np.ndarray:
     return out / np.sqrt((out * out).sum(axis=1, keepdims=True))
 
 
-def _phi_prime(x: np.ndarray, p: float, eps: float) -> np.ndarray:
-    if eps > 0.0:
-        return p * x * (x * x + eps * eps) ** ((p - 2.0) / 2.0)
-    return p * np.sign(x) * np.abs(x) ** (p - 1.0)
+def _ratio_gradient(form, F, p, eps, edge, pair):
+    """Gradient of r = E/P for each row of F, given its energies: per pair
+    phi'(d) = p d (d^2 + eps^2)^((p-2)/2) times (w_E P - E w_P) / P^2, summed
+    onto the vertices by the incidence.  Needs eps > 0 or p >= 2: otherwise
+    the power is infinite at d = 0."""
+    iu, iv, weights, incidence = form
+    d = F[:, iu] - F[:, iv]
+    mix = (np.outer(pair, weights[:, 0]) - np.outer(edge, weights[:, 1])) / (pair * pair)[:, None]
+    return (p * d * (d * d + eps * eps) ** ((p - 2.0) / 2.0) * mix) @ incidence
 
 
-def _phi_second(x: np.ndarray, p: float, eps: float) -> np.ndarray:
-    if eps > 0.0:
-        return p * (x * x + eps * eps) ** (p / 2.0 - 2.0) * ((p - 1.0) * x * x + eps * eps)
-    return p * (p - 1.0) * np.abs(x) ** (p - 2.0)
-
-
-def _ratio_gradient(arrays, F, p, eps, edge, pair):
-    eu, ev, aw, pairw, incidence = arrays
-    t = 2.0 * aw * _phi_prime(F[:, eu] - F[:, ev], p, eps)
-    grad_edge = t @ incidence
-    diff = F[:, :, None] - F[:, None, :]
-    grad_pair = 2.0 * np.einsum("ruv,uv->ru", _phi_prime(diff, p, eps), pairw)
-    return (grad_edge * pair[:, None] - edge[:, None] * grad_pair) / (pair * pair)[:, None]
-
-
-def _ratio_hessian(arrays, f, p, eps, edge, pair, grad):
+def _ratio_hessian(form, f, p, eps, edge, pair, grad):
     """Hessian (H_E - r H_P - dP grad^T - grad dP^T) / P of r = E/P at one
-    point f, given E, P and the ratio gradient there."""
-    eu, ev, aw, pairw, incidence = arrays
-    diff = f[:, None] - f[None, :]
-    k = pairw * _phi_second(diff, p, eps) * ~np.eye(len(f), dtype=bool)
-    cross = np.outer(2.0 * (pairw * _phi_prime(diff, p, eps)).sum(axis=1), grad)
-    hess_edge = np.einsum("ei,e,ej->ij", incidence, 2.0 * aw * _phi_second(f[eu] - f[ev], p, eps), incidence)
-    return (hess_edge - 2.0 * edge / pair * (np.diag(k.sum(axis=1)) - k) - cross - cross.T) / pair
+    point f, given E, P and the ratio gradient there; H_E - r H_P is
+    incidence^T diag(phi''(d) (w_E - r w_P)) incidence."""
+    iu, iv, weights, incidence = form
+    d = f[iu] - f[iv]
+    s = d * d + eps * eps
+    if eps > 0.0:
+        second = p * s ** (p / 2.0 - 2.0) * ((p - 1.0) * d * d + eps * eps)
+    else:  # the smoothed form would be inf * 0 at d = 0
+        second = p * (p - 1.0) * s ** (p / 2.0 - 1.0)
+    w_edge, w_pair = weights.T
+    cross = np.outer((p * d * s ** (p / 2.0 - 1.0) * w_pair) @ incidence, grad)
+    return ((incidence.T * (second * (w_edge - edge / pair * w_pair))) @ incidence - cross - cross.T) / pair

@@ -171,10 +171,10 @@ def test_accept_06_lp_poincare_suite():
         walk = helpers.rand_walk(rng, 3, 10)
         n = walk.graph.n
         c = float(cheeger_conductance(walk, walk.mu).value)
-        eu, ev, aw, pairw = _walk_arrays(walk)
+        form = _walk_arrays(walk)
         batch = np.array([[rng.gauss(0.0, 1.0) for _ in range(n)] for _ in range(1000)])
         for p in ps:
-            edge, pair = _energies(eu, ev, aw, pairw, batch, p)
+            edge, pair = _energies(form, batch, p)
             ratios = edge / pair
             if not np.all(ratios >= cp_formula(c, p) - 1e-9):
                 ratio_violations += int(np.sum(ratios < cp_formula(c, p) - 1e-9))

@@ -496,10 +496,13 @@ class TestCertifyCommand:
 
     @pytest.mark.filterwarnings("error")
     @pytest.mark.parametrize(
-        "p, table", [("1.5", "[0, 1, 1e300]"), ("2", "[0, 1, 1e300]"), ("3", "[0, 1, 1e300]"), ("3", "[0, 1, 1e150]")]
+        "p, table",
+        [("1.5", "[0, 1, 1e300]"), ("2", "[0, 1, 1e300]"), ("3", "[0, 1, 1e300]"), ("3", "[0, 1, 1e150]")]
+        + [(p, "[0, 1, 1.7e308]") for p in ("1.5", "2", "3")],
     )
     def test_huge_modulus_is_tested(self, capsys, tmp_path, p, table):
-        # the unscaled maps' gaps reach the modulus' top value, whose p-th power overflows
+        # the unscaled maps' gaps reach the modulus' top value, whose p-th power overflows;
+        # at 1.7e308 an offset of the same size would overflow the cones themselves
         code, out, err = run(capsys, "certify", *self.c16_with_rho(tmp_path, table, p))
         assert code == 0, err
         results = report_of(out)["results"]
@@ -705,7 +708,9 @@ class TestGoldenResults:
     # Re-pinned for the Newton finish and the canonical sign (largest entry
     # positive).  The estimates are the 800-iteration loop's to 1e-12; at
     # p = 2 the delta start row is the optimum, so the batch stalls after its
-    # 20-step window and the first Newton step finds no decrease
+    # 20-step window and the first Newton step finds no decrease.  At p = 1.5
+    # the ratio is flat to second order at the optimum, so the minimizer (to
+    # about 6e-9) and gradient_norm are round-off: re-pinned for the pair form
     @pytest.mark.parametrize(
         "p, estimate, gradient_norm, iterations, minimizer",
         [
@@ -719,9 +724,9 @@ class TestGoldenResults:
             (
                 1.5,
                 0.7534301401265697,
-                4.8468755469047036e-08,
+                5.561459902661372e-08,
                 47,
-                [0.42644878868814945, 0.5682402014858624, -0.513797617207422, -0.4808913729665899],
+                [0.4264487824563036, 0.5682402068313146, -0.513797618615101, -0.4808913706725172],
             ),
         ],
         ids=["p2", "p1.5"],

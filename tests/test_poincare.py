@@ -25,7 +25,7 @@ from mexp import (
     optimal_lp_constant,
 )
 from mexp.families import make_cycle
-from mexp.poincare import _ratio_gradient, _ratio_hessian
+from mexp.poincare import _energies, _ratio_gradient, _ratio_hessian, _walk_arrays
 
 
 def k2_walk(a=Fraction(1)):
@@ -264,18 +264,14 @@ class TestOptimizer:
         for _ in range(4):
             w = helpers.rand_walk(rng, 9, 12)
             n = w.graph.n
-            eu, ev, aw, pairw = oracles.lp_walk_arrays(w)
-            incidence = np.zeros((len(eu), n))
-            incidence[np.arange(len(eu)), eu] += 1.0
-            incidence[np.arange(len(eu)), ev] -= 1.0
-            arrays = (eu, ev, aw, pairw, incidence)
+            form = _walk_arrays(w)
             f = np.array([rng.gauss(0.0, 1.0) for _ in range(n)])
             h = 1e-6  # central differences err by O(h^2 / gap^3); the smallest gap here is 8.9e-4
             F = np.vstack([f, f + h * np.eye(n), f - h * np.eye(n)])
-            edge, pair = oracles.lp_energies(arrays[:4], F, p, eps)
-            grads = _ratio_gradient(arrays, F, p, eps, edge, pair)
+            edge, pair = oracles.lp_energies(oracles.lp_walk_arrays(w), F, p, eps)
+            grads = _ratio_gradient(form, F, p, eps, edge, pair)
             numeric = (grads[1 : n + 1] - grads[n + 1 :]) / (2.0 * h)
-            got = _ratio_hessian(arrays, f, p, eps, edge[0], pair[0], grads[0])
+            got = _ratio_hessian(form, f, p, eps, edge[0], pair[0], grads[0])
             assert np.abs(got - got.T).max() <= 1e-12 * np.abs(got).max()
             assert np.abs(got - numeric).max() <= 1e-6 * np.abs(got).max(), p
 
@@ -288,14 +284,10 @@ class TestOptimizer:
         rng = random.Random(13)
         w = helpers.rand_walk(rng, 9, 12)
         arrays = oracles.lp_walk_arrays(w)
-        eu, ev, aw, pairw = arrays
-        incidence = np.zeros((len(eu), w.graph.n))
-        incidence[np.arange(len(eu)), eu] += 1.0
-        incidence[np.arange(len(eu)), ev] -= 1.0
         F = np.array([[rng.gauss(0.0, 1.0) for _ in range(w.graph.n)] for _ in range(64)])
         for p, eps in ((1.5, 1e-9), (2.0, 0.0), (3.0, 0.0)):
             edge, pair = oracles.lp_energies(arrays, F, p, eps)
-            got = _ratio_gradient((*arrays, incidence), F, p, eps, edge, pair)
+            got = _ratio_gradient(_walk_arrays(w), F, p, eps, edge, pair)
             want = oracles.lp_ratio_gradient(arrays, F, p, eps, edge, pair)
             assert np.abs(got - want).max() <= 1e-14 * np.abs(want).max(), p
 
@@ -306,3 +298,38 @@ class TestOptimizer:
         w = from_conductance(g, {e: Fraction(1) for e in g.edges})
         with pytest.raises(ValueError, match="connected"):
             optimal_lp_constant(w, 2.0)
+
+
+class TestPairForm:
+    @pytest.mark.parametrize("eps", [0.0, 1e-9])
+    @pytest.mark.parametrize("p", [1.0, 1.5, 2.0, 3.0, 6.0])
+    def test_energies_match_ordered_pair_oracle(self, p, eps):
+        rng = random.Random(18)
+        for _ in range(6):
+            w = helpers.rand_walk(rng, 3, 10)
+            n = w.graph.n
+            F = np.array([[rng.gauss(0.0, 1.0) for _ in range(n)] for _ in range(8)])
+            F[1, 1] = F[1, 0]  # one pair at d = 0
+            F[2, : n // 2 + 1] = F[2, 0]  # most pairs at d = 0
+            edge, pair = _energies(_walk_arrays(w), F, p, eps)
+            want_edge, want_pair = oracles.lp_energies(oracles.lp_walk_arrays(w), F, p, eps)
+            # the oracle's smoothed pair energy keeps the diagonal terms mu(u)^2 eps^p / mu(V)
+            mu = np.array([float(m) for m in w.mu])
+            want_pair = want_pair - eps**p * (mu * mu).sum() / float(w.total_mu)
+            assert np.isfinite(edge).all() and np.isfinite(pair).all()
+            assert edge == pytest.approx(want_edge, rel=1e-13, abs=0.0), (p, eps)
+            assert pair == pytest.approx(want_pair, rel=1e-13, abs=0.0), (p, eps)
+
+    @pytest.mark.parametrize("p", [2.0, 3.0])
+    def test_hessian_is_finite_and_symmetric_where_two_coordinates_meet(self, p):
+        rng = random.Random(19)
+        for _ in range(4):
+            w = helpers.rand_walk(rng, 4, 10)
+            form = _walk_arrays(w)
+            f = np.array([rng.gauss(0.0, 1.0) for _ in range(w.graph.n)])
+            f[1] = f[0]
+            edge, pair = _energies(form, f[None, :], p)
+            grad = _ratio_gradient(form, f[None, :], p, 0.0, edge, pair)[0]
+            hess = _ratio_hessian(form, f, p, 0.0, edge[0], pair[0], grad)
+            assert np.isfinite(hess).all(), p
+            assert np.abs(hess - hess.T).max() <= 1e-12 * np.abs(hess).max(), p
