@@ -11,6 +11,7 @@ u < v, each weighted by 2 a(u,v) and by 2 mu(u)mu(v)/mu(V) (see _arrays).
 
 from __future__ import annotations
 
+import functools
 import random
 from dataclasses import dataclass
 from typing import Sequence
@@ -100,16 +101,14 @@ def _walk_arrays(walk: ReversibleWalk):
 
 
 def _arrays(graph: MeasuredGraph, edge_weights, weights, total):
-    """Pair form of both energies, and the shift: pairs u < v in triu order, their incidence (+1 at u, -1 at v)
-    and weights 2 a(u, v) (0 off the edges) and 2 mu(u)mu(v)/mu(V) as two columns, both times 2^-shift."""
-    n, m = graph.n, len(edge_weights)
-    iu, iv = np.triu_indices(n, 1)
+    """Pair form of both energies, and the shift: pairs u < v in triu order and their weights
+    2 a(u, v) (0 off the edges) and 2 mu(u)mu(v)/mu(V) as two columns, both times 2^-shift."""
+    iu, iv, index, _ = _pairs(graph.n)
     x, shift = scaled_floats([*edge_weights, *weights, total])
-    conductance = np.zeros((n, n))
-    conductance[tuple(np.array(graph.edges, dtype=np.intp).reshape(-1, 2).T)] = x[:m]
-    w = x[m:-1]
-    pair_weights = 2.0 * np.column_stack([conductance[iu, iv], w[iu] * w[iv] / x[-1]])
-    return (iu, iv, pair_weights, np.eye(n)[iu] - np.eye(n)[iv]), shift
+    w = x[len(edge_weights) : -1]
+    pair_weights = np.column_stack([np.zeros(len(iu)), w[iu] * w[iv] / x[-1]])
+    pair_weights[index[tuple(np.array(graph.edges, dtype=np.intp).reshape(-1, 2).T)], 0] = x[: len(edge_weights)]
+    return (iu, iv, 2.0 * pair_weights), shift
 
 
 def _energies(form, F: np.ndarray, p: float, eps: float = 0.0):
@@ -117,7 +116,7 @@ def _energies(form, F: np.ndarray, p: float, eps: float = 0.0):
     u < v of d = F[:, u] - F[:, v]: |d|^p (d * d would overflow at half d's float
     range), or (d^2 + eps^2)^(p/2) when eps > 0, where the pair energy leaves out the
     constant diagonal terms mu(u)^2 eps^p / mu(V), about 1e-14 of it at p = 1.5."""
-    iu, iv, weights, _ = form
+    iu, iv, weights = form
     d = F[:, iu] - F[:, iv]
     return (((d * d + eps * eps) ** (p / 2.0) if eps > 0.0 else np.abs(d) ** p) @ weights).T
 
@@ -275,20 +274,21 @@ def _project(F: np.ndarray) -> np.ndarray:
 
 def _ratio_gradient(form, F, p, eps, edge, pair):
     """Gradient of r = E/P for each row of F, given its energies: per pair
-    phi'(d) = p d (d^2 + eps^2)^((p-2)/2) times (w_E P - E w_P) / P^2, summed
-    onto the vertices by the incidence.  Needs eps > 0 or p >= 2: otherwise
-    the power is infinite at d = 0."""
-    iu, iv, weights, incidence = form
+    phi'(d) = p d (d^2 + eps^2)^((p-2)/2) times (w_E P - E w_P) / P^2, laid out
+    as an antisymmetric (n, n) matrix and summed along its rows (see _pairs).
+    Needs eps > 0 or p >= 2: otherwise the power is infinite at d = 0."""
+    iu, iv, weights = form
     d = F[:, iu] - F[:, iv]
-    mix = (np.outer(pair, weights[:, 0]) - np.outer(edge, weights[:, 1])) / (pair * pair)[:, None]
-    return (p * d * (d * d + eps * eps) ** ((p - 2.0) / 2.0) * mix) @ incidence
+    mix = (pair[:, None] * weights[:, 0] - edge[:, None] * weights[:, 1]) / (pair * pair)[:, None]
+    _, _, index, sign = _pairs(F.shape[1])
+    return np.einsum("rxy,xy->rx", (p * d * (d * d + eps * eps) ** ((p - 2.0) / 2.0) * mix)[:, index], sign)
 
 
 def _ratio_hessian(form, f, p, eps, edge, pair, grad):
     """Hessian (H_E - r H_P - dP grad^T - grad dP^T) / P of r = E/P at one
-    point f, given E, P and the ratio gradient there; H_E - r H_P is
-    incidence^T diag(phi''(d) (w_E - r w_P)) incidence."""
-    iu, iv, weights, incidence = form
+    point f, given E, P and the ratio gradient there; H_E - r H_P is the
+    Laplacian diag(W 1) - W of the pair weights W = phi''(d) (w_E - r w_P)."""
+    iu, iv, weights = form
     d = f[iu] - f[iv]
     s = d * d + eps * eps
     if eps > 0.0:
@@ -296,5 +296,17 @@ def _ratio_hessian(form, f, p, eps, edge, pair, grad):
     else:  # the smoothed form would be inf * 0 at d = 0
         second = p * (p - 1.0) * s ** (p / 2.0 - 1.0)
     w_edge, w_pair = weights.T
-    cross = np.outer((p * d * s ** (p / 2.0 - 1.0) * w_pair) @ incidence, grad)
-    return ((incidence.T * (second * (w_edge - edge / pair * w_pair))) @ incidence - cross - cross.T) / pair
+    _, _, index, sign = _pairs(len(f))
+    W = (second * (w_edge - edge / pair * w_pair))[index] * np.abs(sign)
+    cross = np.outer(np.einsum("xy,xy->x", (p * d * s ** (p / 2.0 - 1.0) * w_pair)[index], sign), grad)
+    return (np.diag(W.sum(axis=1)) - W - cross - cross.T) / pair
+
+
+@functools.lru_cache(maxsize=4)
+def _pairs(n: int):
+    """Pairs u < v in triu order, then the index of the pair {x, y} at [x, y] (0 at x = y) and the sign
+    of y - x there: they lay per-pair values out as an (n, n) matrix, O(n^2) where an incidence is O(n^3)."""
+    iu, iv = np.triu_indices(n, 1)
+    index = np.zeros((n, n), dtype=np.intp)
+    index[iu, iv] = index[iv, iu] = np.arange(len(iu))
+    return iu, iv, index, np.sign(np.arange(n) - np.arange(n)[:, None]).astype(float)

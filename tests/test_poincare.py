@@ -1,5 +1,6 @@
 import math
 import random
+import tracemalloc
 from fractions import Fraction
 
 import numpy as np
@@ -319,6 +320,27 @@ class TestPairForm:
             assert np.isfinite(edge).all() and np.isfinite(pair).all()
             assert edge == pytest.approx(want_edge, rel=1e-13, abs=0.0), (p, eps)
             assert pair == pytest.approx(want_pair, rel=1e-13, abs=0.0), (p, eps)
+
+    def test_memory_grows_with_the_pairs_not_pairs_times_vertices(self):
+        # a (pairs, n) incidence at n = 300 alone would be 358 MB, or 4000 n^2 bytes
+        n = 300
+        w = auxiliary_walk(make_cycle(n))
+        f = np.cos(np.arange(n))
+        tracemalloc.start()
+        try:
+            ratio = lp_energy_ratio(w, f, 1.5)
+            energy_peak = tracemalloc.get_traced_memory()[1]
+            tracemalloc.reset_peak()
+            form = _walk_arrays(w)
+            edge, pair = _energies(form, f[None, :], 3.0)
+            grad = _ratio_gradient(form, f[None, :], 3.0, 0.0, edge, pair)[0]
+            _ratio_hessian(form, f, 3.0, 0.0, edge[0], pair[0], grad)
+            search_peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert ratio > 0.0
+        assert energy_peak < 100 * n * n, energy_peak
+        assert search_peak < 100 * n * n, search_peak
 
     @pytest.mark.parametrize("p", [2.0, 3.0])
     def test_hessian_is_finite_and_symmetric_where_two_coordinates_meet(self, p):
