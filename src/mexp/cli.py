@@ -51,7 +51,7 @@ from .families import (
     random_regular,
 )
 from .graphs import MeasuredGraph, VertexSubset, dump_graph, load_conductance, load_graph
-from .inequalities import DEFAULT_TOLERANCE, THEOREMS
+from .inequalities import DEFAULT_TOLERANCE, DEFAULT_TRIALS, THEOREMS
 from .poincare import optimal_lp_constant
 from .rationals import InputError, format_rational, parse_rational
 from .spectral import delta_operator, lambda_operator, spectrum
@@ -142,7 +142,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--input", required=True)
     p.add_argument("--theorem", required=True, choices=THEOREMS)
     p.add_argument("--p", type=float, default=2.0, help="exponent for lp-poincare")
-    p.add_argument("--trials", type=int, default=200, help="random functions for coarea / lp-poincare")
+    p.add_argument("--trials", type=int, default=DEFAULT_TRIALS, help="random functions for coarea / lp-poincare")
     p.add_argument("--set-a", default=None, help="comma-separated vertex labels")
     p.add_argument("--set-b", default=None, help="comma-separated vertex labels")
     cap(p)
@@ -204,15 +204,18 @@ def _walk_for(graph: MeasuredGraph, conductance):
 
 
 def _resolve_labels(graph: MeasuredGraph, text: str) -> VertexSubset:
+    """Each token names the vertex it matches as a string, else as the JSON
+    value it spells (an int, a float, true, false, null)."""
     indices = []
     for token in filter(None, map(str.strip, text.split(","))):
-        try:
-            indices.append(graph.index_of(token))
-        except InputError:
-            try:  # an integer label
-                indices.append(graph.index_of(int(token)))
-            except (ValueError, InputError):
-                raise InputError(f"unknown vertex label {token!r}") from None
+        for read in (str, json.loads):
+            try:
+                indices.append(graph.index_of(read(token)))
+                break
+            except (ValueError, RecursionError, InputError):  # JSONDecodeError is a ValueError; [[[... recurses
+                pass
+        else:
+            raise InputError(f"unknown vertex label {token!r}")
     return VertexSubset.from_indices(graph.n, indices)
 
 
@@ -264,7 +267,7 @@ def _cmd_cheeger(args):
     else:
         cert = cheeger_conductance(_walk_for(graph, conductance), graph.measure, cap=args.cap)
     return 0, {
-        "value": format_rational(cert.value),
+        "value": cert.value,
         "witness": [graph.labels[v] for v in cert.witness.indices()],
         "flavor": cert.flavor,
     }
@@ -365,7 +368,11 @@ _GENERATORS = {
 
 def _cmd_generate(args):
     names, build = _GENERATORS[args.kind]
-    values = [{"n": args.n, "k": args.k, "d": args.d}[name] for name in names]
+    given = {"n": args.n, "k": args.k, "d": args.d}
+    for name, value in given.items():
+        if value is not None and name not in names:
+            raise InputError(f"generator {args.kind!r} takes no parameter {name}")
+    values = [given[name] for name in names]
     if None in values:
         raise InputError(f"generator {args.kind!r} needs parameter {names[values.index(None)]}")
     rng = random.Random(args.seed)

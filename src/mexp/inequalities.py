@@ -10,7 +10,9 @@ ever helps a check pass, excusing float noise and with it any true
 violation smaller than tol.  Two verifiers decide exactly with no slack:
 coarea compares its level-set identity in integers over one common
 denominator, and the auxiliary-walk verifier compares counts and
-rationals.  Both trial verifiers need at least one trial.
+rationals.  Both trial verifiers need at least one trial.  Each verifier
+passes the values it read to _report, the one place that renders a
+report's inputs for a bit-for-bit replay.
 
 THEOREMS maps each theorem name to its verifier, whether the verifier
 takes the walk (True) or the graph (False), and the keyword options it
@@ -35,6 +37,7 @@ from .spectral import coarea_check, delta_gap, measured_gap
 from .walks import ReversibleWalk, auxiliary_walk
 
 DEFAULT_TOLERANCE = 1e-8
+DEFAULT_TRIALS = 200
 
 
 @dataclass(frozen=True)
@@ -65,7 +68,13 @@ def _check(label: str, lhs: Fraction | float, rhs: Fraction | float, tol: float)
     return BoundCheck(label=label, lhs=lhs, rhs=rhs, slack=rhs - lhs, holds=lhs <= rhs + tol)
 
 
-def _report(name: str, checks: Sequence[BoundCheck], inputs: dict) -> InequalityReport:
+def _report(name: str, checks: Sequence[BoundCheck], **inputs) -> InequalityReport:
+    """The verdict on the checks, with the inputs rendered so that they replay
+    bit for bit: a Fraction as "p/q", a computed float as its repr, and the
+    given p and tolerance, ints and label lists as they are."""
+    for key, value in inputs.items():
+        if isinstance(value, (Fraction, float)) and key not in ("p", "tolerance"):
+            inputs[key] = format_rational(value) if isinstance(value, Fraction) else repr(value)
     return InequalityReport(
         name=name,
         checks=tuple(checks),
@@ -92,17 +101,8 @@ def verify_cheeger_sandwich(
         _check("c^2/2 <= gap", c * c / 2, gap, tol),
         _check("gap <= 2c", gap, 2 * c, tol),
     )
-    return _report(
-        "cheeger-sandwich",
-        checks,
-        {
-            "n": walk.graph.n,
-            "cheeger": format_rational(c),
-            "witness": [walk.graph.labels[v] for v in cert.witness.indices()],
-            "gap": repr(gap),
-            "tolerance": tol,
-        },
-    )
+    witness = [walk.graph.labels[v] for v in cert.witness.indices()]
+    return _report("cheeger-sandwich", checks, n=walk.graph.n, cheeger=c, witness=witness, gap=gap, tolerance=tol)
 
 
 def verify_measured_sandwich(
@@ -119,18 +119,7 @@ def verify_measured_sandwich(
         _check("c^2 s^3 (1+s) / (2 K^3) <= gap", lower, gap, tol),
         _check("gap <= 2 (1+s) K c / s", gap, upper, tol),
     )
-    return _report(
-        "measured-sandwich",
-        checks,
-        {
-            "n": graph.n,
-            "cheeger": format_rational(c),
-            "s": format_rational(s),
-            "K": big_k,
-            "gap": repr(gap),
-            "tolerance": tol,
-        },
-    )
+    return _report("measured-sandwich", checks, n=graph.n, cheeger=c, s=s, K=big_k, gap=gap, tolerance=tol)
 
 
 def verify_gap_controls(graph: MeasuredGraph, tol: float = DEFAULT_TOLERANCE) -> InequalityReport:
@@ -145,18 +134,7 @@ def verify_gap_controls(graph: MeasuredGraph, tol: float = DEFAULT_TOLERANCE) ->
         _check("s(1+s)/K * gap' <= gap", lower, gap, tol),
         _check("gap <= K^2(1+s)/s^2 * gap'", gap, upper, tol),
     )
-    return _report(
-        "gap-controls",
-        checks,
-        {
-            "n": graph.n,
-            "s": format_rational(s),
-            "K": big_k,
-            "gap": repr(gap),
-            "aux_gap": repr(aux_gap),
-            "tolerance": tol,
-        },
-    )
+    return _report("gap-controls", checks, n=graph.n, s=s, K=big_k, gap=gap, aux_gap=aux_gap, tolerance=tol)
 
 
 def distance_gap_bound(
@@ -189,15 +167,13 @@ def distance_gap_bound(
     return _report(
         "distance-bound",
         checks,
-        {
-            "n": graph.n,
-            "set_a": [graph.labels[v] for v in a_members],
-            "set_b": [graph.labels[v] for v in b_members],
-            "distance": int(rho),
-            "gap": repr(gap),
-            "rhs": format_rational(rhs),
-            "tolerance": tol,
-        },
+        n=graph.n,
+        set_a=[graph.labels[v] for v in a_members],
+        set_b=[graph.labels[v] for v in b_members],
+        distance=int(rho),
+        gap=gap,
+        rhs=rhs,
+        tolerance=tol,
     )
 
 
@@ -215,18 +191,7 @@ def verify_poincare_to_cheeger(
     gap = measured_gap(graph)
     floor = poincare_cheeger_floor(s, big_k, gap)
     checks = (_check("s gap / (2(1+s)K) <= cheeger", floor, c, tol),)
-    return _report(
-        "poincare-to-cheeger",
-        checks,
-        {
-            "n": graph.n,
-            "cheeger": format_rational(c),
-            "s": format_rational(s),
-            "K": big_k,
-            "gap": repr(gap),
-            "tolerance": tol,
-        },
-    )
+    return _report("poincare-to-cheeger", checks, n=graph.n, cheeger=c, s=s, K=big_k, gap=gap, tolerance=tol)
 
 
 def verify_auxiliary_walk(graph: MeasuredGraph, cap: int = DEFAULT_CAP) -> InequalityReport:
@@ -249,11 +214,7 @@ def verify_auxiliary_walk(graph: MeasuredGraph, cap: int = DEFAULT_CAP) -> Inequ
         _check("vertices outside the measure sandwich == 0", outside, 0, 0),
         _check("c s / K <= conductance cheeger", c * s / big_k, cheeger_conductance(walk, m, cap=cap).value, 0),
     )
-    return _report(
-        "auxiliary-walk",
-        checks,
-        {"n": graph.n, "cheeger": format_rational(c), "s": format_rational(s), "K": big_k},
-    )
+    return _report("auxiliary-walk", checks, n=graph.n, cheeger=c, s=s, K=big_k)
 
 
 def _check_trials(trials: int):
@@ -261,7 +222,7 @@ def _check_trials(trials: int):
         raise InputError(f"need at least one trial, got {trials}")
 
 
-def verify_coarea(walk: ReversibleWalk, trials: int = 100, seed: int = 0) -> InequalityReport:
+def verify_coarea(walk: ReversibleWalk, trials: int = DEFAULT_TRIALS, seed: int = 0) -> InequalityReport:
     """Exact level-set identity on seeded random nonnegative rational functions."""
     _check_trials(trials)
     rng = random.Random(seed)
@@ -271,17 +232,13 @@ def verify_coarea(walk: ReversibleWalk, trials: int = 100, seed: int = 0) -> Ine
         if not coarea_check(walk, f).equal:
             mismatches += 1
     checks = (_check("level-set identity mismatches == 0", mismatches, 0, 0),)
-    return _report(
-        "coarea",
-        checks,
-        {"n": walk.graph.n, "trials": trials, "seed": seed, "mismatches": mismatches},
-    )
+    return _report("coarea", checks, n=walk.graph.n, trials=trials, seed=seed, mismatches=mismatches)
 
 
 def verify_lp_poincare(
     walk: ReversibleWalk,
     p: float,
-    trials: int = 200,
+    trials: int = DEFAULT_TRIALS,
     seed: int = 0,
     cap: int = DEFAULT_CAP,
     tol: float = DEFAULT_TOLERANCE,
@@ -299,18 +256,7 @@ def verify_lp_poincare(
     worst = float((edge / pair).min(initial=math.inf))
     checks = (_check("c_p <= min energy ratio", floor, worst, tol),)
     return _report(
-        "lp-poincare",
-        checks,
-        {
-            "n": n,
-            "p": p,
-            "cheeger": format_rational(c),
-            "c_p": repr(floor),
-            "min_ratio": repr(worst),
-            "trials": trials,
-            "seed": seed,
-            "tolerance": tol,
-        },
+        "lp-poincare", checks, n=n, p=p, cheeger=c, c_p=floor, min_ratio=worst, trials=trials, seed=seed, tolerance=tol
     )
 
 

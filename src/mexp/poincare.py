@@ -146,8 +146,6 @@ class MeasuredEnergyCheck:
 def measured_lp_check(graph: MeasuredGraph, f: Sequence[float], p: float) -> MeasuredEnergyCheck:
     """Both sides of the measured Lp inequality: edge energy against the pair
     form taken in the vertex measure m (not in the stationary measure)."""
-    if not graph.full_support:
-        raise InputError(f"vertex {graph.labels[graph.measure.index(0)]!r} has zero measure")
     aw = _auxiliary_conductance(graph)
     lhs, rhs, edge, pair = _function_energies(graph, aw, graph.measure, graph.total_measure, f, p)
     return MeasuredEnergyCheck(lhs=lhs, rhs=rhs, ratio=_ratio(edge, pair))

@@ -75,11 +75,10 @@ def delta_operator(walk: ReversibleWalk) -> SelfAdjointOperator:
 
 def lambda_operator(graph: MeasuredGraph) -> SelfAdjointOperator:
     """Pencil whose smallest positive eigenvalue is the measured spectral gap."""
-    if not graph.full_support:
-        raise InputError(f"vertex {graph.labels[graph.measure.index(0)]!r} has zero measure")
+    weights = _auxiliary_conductance(graph)
     if not graph.connected:
         raise InputError("the measured spectral gap is defined for connected graphs")
-    return _pencil(graph.n, graph.edges, _auxiliary_conductance(graph), graph.measure, 1)
+    return _pencil(graph.n, graph.edges, weights, graph.measure, 1)
 
 
 def _pencil(n: int, edges, weights, mass, components: int) -> SelfAdjointOperator:

@@ -96,6 +96,8 @@ def auxiliary_walk(graph: MeasuredGraph) -> ReversibleWalk:
 
 def _auxiliary_conductance(graph: MeasuredGraph) -> list[Fraction]:
     """The auxiliary walk's conductance m(u) + m(v), in graph.edges order."""
+    if not graph.full_support:
+        raise InputError(f"vertex {graph.labels[graph.measure.index(0)]!r} has zero measure")
     return [graph.measure[u] + graph.measure[v] for u, v in graph.edges]
 
 

@@ -318,6 +318,33 @@ class TestVerifyCommand:
         )
         assert code == 2 and "unknown vertex label 'x'" in err
 
+    @pytest.mark.parametrize(
+        "token, label",
+        [("true", True), ("false", False), ("null", None), ("1", 1), ("2", 2), ("2.0", 2.0), ("0.5", 0.5)],
+    )
+    def test_labels_read_as_documents_read_them(self, capsys, tmp_path, token, label):
+        # a token names a vertex by the JSON type and value it spells, as ids in documents do
+        ids = [True, None, 1, 2.0, 2, 0.5, False]
+        doc = {"vertices": [{"id": v, "m": "1"} for v in ids], "edges": [[u, v] for u, v in zip(ids, ids[1:])]}
+        path = tmp_path / "ids.json"
+        path.write_text(json.dumps(doc), encoding="utf-8")
+        other = "true" if token == "false" else "false"
+        argv = ["verify", "--input", str(path), "--theorem", "distance-bound", "--set-a", token, "--set-b", other]
+        code, out, err = run(capsys, *argv)
+        assert code == 0, err
+        [got] = report_of(out)["results"]["inputs"]["set_a"]
+        assert (type(got), got) == (type(label), label)
+
+    @pytest.mark.parametrize("token", ["+1", "01", "1_0", "\u0661", "[" * 5000])
+    def test_tokens_no_document_spells_exit_two(self, capsys, tmp_path, token):
+        # int() reads the first four as 1, and json.loads recurses out on the last
+        path = tmp_path / "c8.json"
+        path.write_text(dump_graph(make_cycle(8)), encoding="utf-8")
+        argv = ["verify", "--input", str(path), "--theorem", "distance-bound", "--set-a", token, "--set-b", "0"]
+        code, out, err = run(capsys, *argv)
+        assert code == 2 and out == ""
+        assert f"unknown vertex label {token!r}" in err, err
+
 
 class TestFamilyCommand:
     def test_directory_report(self, capsys, tmp_path):
@@ -913,6 +940,20 @@ class TestGenerate:
         code, out, err = run(capsys, "generate", "random_regular", "--n", "10")
         assert code == 2 and out == ""
         assert "generator 'random_regular' needs parameter k" in err, err
+
+    @pytest.mark.parametrize(
+        "argv, name",
+        [
+            (["cycle", "--n", "4", "--k", "7"], "k"),
+            (["cycle", "--n", "4", "--k", "7", "--d", "3"], "k"),
+            (["hypercube", "--d", "2", "--n", "99"], "n"),
+            (["random_regular", "--n", "10", "--k", "3", "--d", "2"], "d"),
+        ],
+    )
+    def test_extra_parameter_exits_two(self, capsys, argv, name):
+        code, out, err = run(capsys, "generate", *argv)
+        assert code == 2 and out == ""
+        assert f"generator {argv[0]!r} takes no parameter {name}" in err, err
 
 
 class TestDeterminism:

@@ -12,10 +12,12 @@ from mexp import (
     VertexSubset,
     auxiliary_walk,
     cheeger_conductance,
+    cheeger_vertex,
     delta_gap,
     distance_gap_bound,
     from_conductance,
     heat_kernel_measure,
+    measured_gap,
     verify_cheeger_sandwich,
     verify_coarea,
     verify_gap_controls,
@@ -26,6 +28,7 @@ from mexp import (
 from mexp import cheeger
 from mexp.cli import main
 from mexp.graphs import diameter, dump_graph
+from mexp.inequalities import THEOREMS
 from mexp.families import make_cycle
 from mexp.poincare import cp_formula
 from mexp.rationals import format_rational
@@ -287,6 +290,65 @@ class TestSuiteVerifiers:
         report = verify_measured_sandwich(make_cycle(5))
         text = json.dumps(_jsonable(report))
         assert "measured-sandwich" in text
+
+
+# each theorem's inputs keys, in the order its report lists them
+INPUT_KEYS = {
+    "cheeger-sandwich": ["n", "cheeger", "witness", "gap", "tolerance"],
+    "measured-sandwich": ["n", "cheeger", "s", "K", "gap", "tolerance"],
+    "gap-controls": ["n", "s", "K", "gap", "aux_gap", "tolerance"],
+    "distance-bound": ["n", "set_a", "set_b", "distance", "gap", "rhs", "tolerance"],
+    "poincare-to-cheeger": ["n", "cheeger", "s", "K", "gap", "tolerance"],
+    "coarea": ["n", "trials", "seed", "mismatches"],
+    "lp-poincare": ["n", "p", "cheeger", "c_p", "min_ratio", "trials", "seed", "tolerance"],
+    "auxiliary-walk": ["n", "cheeger", "s", "K"],
+}
+
+
+class TestReportInputs:
+    def test_inputs_follow_one_rendering_rule(self):
+        # rationals as "p/q", computed floats as their repr, the given p and
+        # tolerance as given, counts as ints and labels as lists
+        assert sorted(INPUT_KEYS) == sorted(THEOREMS)
+        rng = random.Random(26)
+        for i in range(40):
+            walk = helpers.rand_walk(rng, 3, 8, auxiliary_of_random_measure=i % 2 == 1)
+            graph, n = walk.graph, walk.graph.n
+            given = {
+                "p": (1.0, 1.5, 2, 3.0)[i % 4],
+                "trials": 5,
+                "seed": i,
+                "cap": 20,
+                "tol": (0, 1e-8)[i // 2 % 2],
+                "set_a": VertexSubset.from_indices(n, [0]),
+                "set_b": VertexSubset.from_indices(n, [n - 1]),
+            }
+            cheegers = (cheeger_vertex(graph).value, cheeger_conductance(walk, walk.mu).value)
+            gaps = (measured_gap(graph), delta_gap(walk))
+            aux_gap = delta_gap(auxiliary_walk(graph))
+            for name, (verifier, on_walk, names) in THEOREMS.items():
+                report = verifier(walk if on_walk else graph, **{key: given[key] for key in names})
+                assert list(report.inputs) == INPUT_KEYS[name]
+                side = report.checks[0]
+                used = {
+                    "cheeger": cheegers[on_walk],
+                    "s": graph.ratio_bound,
+                    "rhs": side.rhs,
+                    "gap": gaps[on_walk],
+                    "aux_gap": aux_gap,
+                    "c_p": side.lhs,
+                    "min_ratio": side.rhs,
+                }
+                for key, value in report.inputs.items():
+                    if key in ("p", "tolerance"):
+                        assert value is given["tol" if key == "tolerance" else key], (name, key)
+                    elif key in ("cheeger", "s", "rhs"):
+                        assert type(value) is str and Fraction(value) == used[key], (name, key)
+                    elif key in ("gap", "aux_gap", "c_p", "min_ratio"):
+                        assert type(value) is str and float(value) == used[key], (name, key)
+                        assert type(used[key]) is float and value == repr(used[key]), (name, key)
+                    else:
+                        assert type(value) in (int, list), (name, key)
 
 
 class TestTrialVerifiers:
