@@ -24,20 +24,19 @@ from .spectral import delta_operator, eigenpairs
 from .walks import ReversibleWalk, _auxiliary_conductance
 
 _SMOOTHING_EPS = 1e-9
-_STALL_WINDOW = 20
-_STALL_RTOL = 1e-12
-_BATCH_STEPS = 100
+_BATCH_STEPS = 10
+_POLISHED_ROWS = 8
 
 
 @dataclass(frozen=True)
 class PoincareEstimate:
     """Best energy ratio found by optimal_lp_constant.
 
-    The estimate equals the unsmoothed ratio at the minimizer, an upper bound
-    on the true constant; the ratio is even, so the minimizer is signed to
-    make its first largest-magnitude entry positive.  `converged` means the
-    Newton stop test fired before the iteration cap; `gradient_norm` is the
-    projected gradient norm there; `iterations` counts batch and Newton steps.
+    The minimizer is the Newton-polished row of least unsmoothed ratio (ratios within 1e-14
+    of it tie, and the batch's order breaks ties), signed to make its first largest-magnitude
+    entry positive; the estimate, that ratio, is an upper bound on the true constant.
+    `converged` means the minimizer's own Newton stop fired within max_iters; `gradient_norm`
+    is its projected gradient norm; `iterations` counts batch plus lockstep Newton steps.
     """
 
     p: float
@@ -113,12 +112,12 @@ def _arrays(graph: MeasuredGraph, edge_weights, weights, total):
 
 def _energies(form, F: np.ndarray, p: float, eps: float = 0.0):
     """Ordered-pair edge and pair energy of each row of F, from one power per pair
-    u < v of d = F[:, u] - F[:, v]: |d|^p (d * d would overflow at half d's float
+    u < v of d = F[..., u] - F[..., v]: |d|^p (d * d would overflow at half d's float
     range), or (d^2 + eps^2)^(p/2) when eps > 0, where the pair energy leaves out the
     constant diagonal terms mu(u)^2 eps^p / mu(V), about 1e-14 of it at p = 1.5."""
     iu, iv, weights = form
-    d = F[:, iu] - F[:, iv]
-    return (((d * d + eps * eps) ** (p / 2.0) if eps > 0.0 else np.abs(d) ** p) @ weights).T
+    d = F[..., iu] - F[..., iv]
+    return np.moveaxis(((d * d + eps * eps) ** (p / 2.0) if eps > 0.0 else np.abs(d) ** p) @ weights, -1, 0)
 
 
 def _in_range(edge: np.ndarray, pair: np.ndarray) -> np.ndarray:
@@ -180,19 +179,16 @@ def _ratio(edge: float, pair: float) -> float:
 def optimal_lp_constant(
     walk: ReversibleWalk, p: float, restarts: int = 64, seed: int = 0, max_iters: int = 800
 ) -> PoincareEstimate:
-    """Multi-start projected gradient descent on the Lp energy ratio, then
-    Newton steps on the best restart.
+    """Multi-start projected gradient descent on the Lp energy ratio, then Newton on the best rows.
 
-    The batch, `restarts` seeded Gaussian rows and the delta-pencil
-    eigenvector of the first nonzero eigenvalue (the optimum at p = 2), takes
-    backtracked steps in lockstep: 100, or fewer once its best ratio falls by
-    at most 1e-12 times itself over 20.  Newton steps use the Hessian on the
-    tangent space of the sphere orthogonal to the constants: a Newton step
-    along positive curvature, the batch's gradient step elsewhere, halved
-    until the ratio falls.  They stop, reporting `converged`, once no halved
-    step lowers the ratio or one lowers it by at most 1e-14 times itself;
-    max_iters caps both phases.  For p < 2 both descend a smoothed ratio
-    (eps = 1e-9); the estimate is the unsmoothed ratio at the final point.
+    The batch, `restarts` seeded Gaussian rows and the delta-pencil eigenvector of the first
+    nonzero eigenvalue (the optimum at p = 2), takes 10 backtracked steps in lockstep.  Then its
+    8 best rows in range take Newton steps in lockstep, with the Hessian on the tangent space of
+    the sphere orthogonal to the constants: along each eigenvector a Newton step scaled by the
+    absolute curvature, or the batch's gradient step where that is below 1e-12 of the largest,
+    halved until the row's ratio falls.  A row stops once no halved step lowers its ratio or one
+    lowers it by at most 1e-14 times itself; max_iters caps both phases.  For p < 2 both
+    descend a smoothed ratio (eps = 1e-9).  See PoincareEstimate.
     """
     _check_exponent(p)
     n = walk.graph.n
@@ -208,10 +204,8 @@ def optimal_lp_constant(
     with np.errstate(all="ignore"):  # at an extreme p no start row's energies are in range
         edge, pair = _energies(form, F, p, eps)
         ratio = edge / pair
-    eta = np.full(len(F), 0.1)
-    history, iterations = [ratio.min()], 0
-    valid = _in_range(edge, pair)  # with no start row in range the batch is skipped
-    while valid.any() and iterations < min(_BATCH_STEPS, max_iters):
+    eta, iterations = np.full(len(F), 0.1), 0
+    while iterations < min(_BATCH_STEPS, max_iters) and _in_range(edge, pair).any():  # no row out of range steps
         grad = _ratio_gradient(form, F, p, eps, edge, pair)
         tangent = grad - (grad * F).sum(axis=1, keepdims=True) * F
         tangent = tangent - tangent.mean(axis=1, keepdims=True)
@@ -224,40 +218,46 @@ def optimal_lp_constant(
         ratio = np.where(accept, cand_ratio, ratio)
         edge, pair = np.where(accept, cand_edge, edge), np.where(accept, cand_pair, pair)
         eta = np.clip(np.where(accept, eta * 1.25, eta * 0.5), 1e-18, 1e3)
-        history.append(ratio.min())
-        if iterations >= _STALL_WINDOW and history[-1 - _STALL_WINDOW] - history[-1] <= _STALL_RTOL * history[-1]:
-            break
     valid = _in_range(edge, pair)
-    best = np.argmin(np.where(valid, ratio, np.inf), keepdims=True)
-    if not valid[best[0]]:
+    best = np.argsort(np.where(valid, ratio, np.inf), kind="stable")[: min(_POLISHED_ROWS, valid.sum())]
+    if not best.size:
         raise InputError(f"at p = {p!r} the energies leave the float range the search needs, 1e-150 to 1e150")
-    f, edge, pair, converged = F[best], edge[best], pair[best], False
-    backtrack = np.append(0.5 ** np.arange(40), 0.0)  # Newton step factors; the last one stays put
-    while True:
-        grad = _ratio_gradient(form, f, p, eps, edge, pair)[0]
-        proj = np.eye(n) - 1.0 / n - np.outer(f, f)
-        tangent = proj @ grad
-        if converged or iterations >= max_iters:
-            break
+    F, edge, pair, eta = F[best], edge[best], pair[best], eta[best]
+    converged = np.zeros(len(best), dtype=bool)  # a row steps until its stop fires
+    ladder = np.split(0.5 ** np.arange(40), [1, 9, 17, 25, 33])  # the full step, then 8 halvings at a time
+    while not converged.all() and iterations < max_iters:
         iterations += 1
-        hess = _ratio_hessian(form, f[0], p, eps, edge[0], pair[0], grad)
-        curvature, basis = np.linalg.eigh(np.einsum("ij,jk,kl->il", proj, hess, proj))
-        step = basis.T @ tangent / np.where(curvature > 1e-12 * np.abs(curvature).max(), curvature, 1.0 / eta[best])
-        cand = _project(f - backtrack[:, None] * (basis @ step))
-        cand_edge, cand_pair = _energies(form, cand, p, eps)
-        ratio, cand_ratio = edge[0] / pair[0], cand_edge / cand_pair
-        fell = _in_range(cand_edge, cand_pair) & (cand_ratio < ratio - 1e-15 * ratio)
-        k = np.append(np.flatnonzero(fell), -1)[:1]
-        converged = ratio - cand_ratio[k[0]] <= 1e-14 * ratio
-        f, edge, pair = cand[k], cand_edge[k], cand_pair[k]
-    final_edge, final_pair = _energies(form, f, p, 0.0)
+        rows = np.flatnonzero(~converged)
+        f, ratio = F[rows], edge[rows] / pair[rows]
+        grad = _ratio_gradient(form, f, p, eps, edge[rows], pair[rows])
+        proj = np.eye(n) - 1.0 / n - f[:, :, None] * f[:, None, :]
+        curvature, basis = np.linalg.eigh(proj @ _ratio_hessian(form, f, p, eps, edge[rows], pair[rows], grad) @ proj)
+        curvature = np.abs(curvature)  # a descent step along negative curvature too: it leaves saddles
+        step = np.einsum("rji,rj->ri", basis, np.einsum("rij,rj->ri", proj, grad))
+        flat = curvature <= 1e-12 * curvature.max(axis=1, keepdims=True)
+        direction = np.einsum("rij,rj->ri", basis, step / np.where(flat, 1.0 / eta[rows, None], curvature))
+        target, miss = ratio - 1e-15 * ratio, np.arange(len(rows))  # miss: the rows no factor has moved yet
+        for factors in ladder:
+            cand = _project(f[miss, None] - factors[:, None] * direction[miss, None])  # (rows, factors, n)
+            cand_edge, cand_pair = _energies(form, cand, p, eps)
+            fell = _in_range(cand_edge, cand_pair) & (cand_edge / cand_pair < target[miss, None])
+            hit = fell.any(axis=1)
+            at, first = rows[miss[hit]], fell[hit].argmax(axis=1)
+            F[at], edge[at], pair[at] = cand[hit, first], cand_edge[hit, first], cand_pair[hit, first]
+            miss = miss[~hit]
+            if not miss.size:
+                break
+        converged[rows] = ratio - edge[rows] / pair[rows] <= 1e-14 * ratio  # so does a row that no factor moved
+    final = np.divide(*_energies(form, F, p, 0.0))
+    w = np.flatnonzero(final <= final.min() * (1.0 + 1e-14))[0]  # ties: within the Newton stop's 1e-14
+    f, grad = F[w], _ratio_gradient(form, F[[w]], p, eps, edge[[w]], pair[[w]])[0]
     return PoincareEstimate(
         p=float(p),
-        estimate=float(final_edge[0] / final_pair[0]),
-        minimizer=tuple(float(x) for x in f[0] * np.sign(f[0, np.abs(f[0]).argmax()])),
+        estimate=float(final[w]),
+        minimizer=tuple(float(x) for x in f * np.sign(f[np.abs(f).argmax()])),
         restarts=restarts,
-        converged=bool(converged),
-        gradient_norm=float(np.sqrt(tangent @ tangent)),
+        converged=bool(converged[w]),
+        gradient_norm=float(np.linalg.norm((np.eye(n) - 1.0 / n - np.outer(f, f)) @ grad)),
         iterations=iterations,
     )
 
@@ -266,8 +266,8 @@ def _project(F: np.ndarray) -> np.ndarray:
     """Remove the constant component and normalize each row.  No row is
     constant: the starts are continuous draws, and every step adds a vector
     orthogonal to its row."""
-    out = F - F.mean(axis=1, keepdims=True)
-    return out / np.sqrt((out * out).sum(axis=1, keepdims=True))
+    out = F - F.mean(axis=-1, keepdims=True)
+    return out / np.sqrt((out * out).sum(axis=-1, keepdims=True))
 
 
 def _ratio_gradient(form, F, p, eps, edge, pair):
@@ -282,22 +282,22 @@ def _ratio_gradient(form, F, p, eps, edge, pair):
     return np.einsum("rxy,xy->rx", (p * d * (d * d + eps * eps) ** ((p - 2.0) / 2.0) * mix)[:, index], sign)
 
 
-def _ratio_hessian(form, f, p, eps, edge, pair, grad):
-    """Hessian (H_E - r H_P - dP grad^T - grad dP^T) / P of r = E/P at one
-    point f, given E, P and the ratio gradient there; H_E - r H_P is the
-    Laplacian diag(W 1) - W of the pair weights W = phi''(d) (w_E - r w_P)."""
+def _ratio_hessian(form, F, p, eps, edge, pair, grad):
+    """Hessian (H_E - r H_P - dP grad^T - grad dP^T) / P of r = E/P at each row of F, given its
+    E, P and ratio gradient; H_E - r H_P is the Laplacian diag(W 1) - W of the pair weights
+    W = phi''(d) (w_E - r w_P).  Its sums add whole rows in order: no row's bits depend on the others."""
     iu, iv, weights = form
-    d = f[iu] - f[iv]
+    d = F[:, iu] - F[:, iv]
     s = d * d + eps * eps
     if eps > 0.0:
         second = p * s ** (p / 2.0 - 2.0) * ((p - 1.0) * d * d + eps * eps)
     else:  # the smoothed form would be inf * 0 at d = 0
         second = p * (p - 1.0) * s ** (p / 2.0 - 1.0)
     w_edge, w_pair = weights.T
-    _, _, index, sign = _pairs(len(f))
-    W = (second * (w_edge - edge / pair * w_pair))[index] * np.abs(sign)
-    cross = np.outer(np.einsum("xy,xy->x", (p * d * s ** (p / 2.0 - 1.0) * w_pair)[index], sign), grad)
-    return (np.diag(W.sum(axis=1)) - W - cross - cross.T) / pair
+    _, _, index, sign = _pairs(F.shape[1])
+    W = (second * (w_edge - (edge / pair)[:, None] * w_pair))[:, index] * np.abs(sign)
+    cross = ((p * d * s ** (p / 2.0 - 1.0) * w_pair)[:, index] * sign.T).sum(axis=1)[:, :, None] * grad[:, None]
+    return (np.eye(len(index)) * W.sum(axis=1)[:, :, None] - W - cross - cross.transpose(0, 2, 1)) / pair[:, None, None]
 
 
 @functools.lru_cache(maxsize=4)

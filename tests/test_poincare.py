@@ -242,6 +242,16 @@ class TestOptimizer:
             reference, _ = oracles.fixed_budget_lp_constant(w, p, restarts=64, seed=i, iters=800)
             assert est.estimate <= reference * (1 + 1e-12), (i, p, est.estimate / reference - 1)
 
+    def test_p3_converges_within_30_steps_on_benchmark_shaped_walks(self):
+        # the walks of the Newton oracle test above: at p = 3 the 10-step batch
+        # and the 8-row polish stop on their own after 15-18 steps
+        rng = random.Random(14)
+        for i in range(12):
+            w = helpers.rand_walk(rng, 6 + i % 7, 6 + i % 7)
+            if i % 3 == 2:
+                est = optimal_lp_constant(w, 3.0, restarts=64, seed=i)
+                assert est.converged and est.iterations <= 30, (i, est.iterations)
+
     def test_delta_start_row_converges_at_p2(self):
         rng = random.Random(15)
         for i in range(8):
@@ -272,9 +282,37 @@ class TestOptimizer:
             edge, pair = oracles.lp_energies(oracles.lp_walk_arrays(w), F, p, eps)
             grads = _ratio_gradient(form, F, p, eps, edge, pair)
             numeric = (grads[1 : n + 1] - grads[n + 1 :]) / (2.0 * h)
-            got = _ratio_hessian(form, f, p, eps, edge[0], pair[0], grads[0])
+            got = _ratio_hessian(form, F[:1], p, eps, edge[:1], pair[:1], grads[:1])[0]
             assert np.abs(got - got.T).max() <= 1e-12 * np.abs(got).max()
             assert np.abs(got - numeric).max() <= 1e-6 * np.abs(got).max(), p
+
+    @pytest.mark.parametrize("p", [1.5, 2.0, 3.0])
+    def test_batched_hessian_rows_match_one_row_calls(self, p):
+        rng = random.Random(20)
+        eps = 1e-9 if p < 2 else 0.0
+        w = helpers.rand_walk(rng, 9, 12)
+        form = _walk_arrays(w)
+        F = np.array([[rng.gauss(0.0, 1.0) for _ in range(w.graph.n)] for _ in range(8)])
+        edge, pair = _energies(form, F, p, eps)
+        grad = _ratio_gradient(form, F, p, eps, edge, pair)
+        batched = _ratio_hessian(form, F, p, eps, edge, pair, grad)
+        for r in range(len(F)):
+            one = _ratio_hessian(form, F[r : r + 1], p, eps, edge[r : r + 1], pair[r : r + 1], grad[r : r + 1])
+            assert np.array_equal(batched[r], one[0]), (p, r)
+
+    def test_polish_backtracks_in_blocks_not_the_whole_ladder_per_row(self):
+        # 5 Newton steps on 8 rows: trying the 41 step factors of every row at
+        # once peaks at about 4100 n^2 bytes here, blocks of 8 at about 800
+        n = 150
+        w = auxiliary_walk(make_cycle(n))
+        tracemalloc.start()
+        try:
+            est = optimal_lp_constant(w, 3.0, restarts=8, seed=0, max_iters=15)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert est.iterations == 15
+        assert peak < 2000 * n * n, peak
 
     def test_max_iters_caps_the_search(self):
         w = helpers.rand_walk(random.Random(12), 6, 9)
@@ -333,8 +371,8 @@ class TestPairForm:
             tracemalloc.reset_peak()
             form = _walk_arrays(w)
             edge, pair = _energies(form, f[None, :], 3.0)
-            grad = _ratio_gradient(form, f[None, :], 3.0, 0.0, edge, pair)[0]
-            _ratio_hessian(form, f, 3.0, 0.0, edge[0], pair[0], grad)
+            grad = _ratio_gradient(form, f[None, :], 3.0, 0.0, edge, pair)
+            _ratio_hessian(form, f[None, :], 3.0, 0.0, edge, pair, grad)
             search_peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
@@ -351,7 +389,7 @@ class TestPairForm:
             f = np.array([rng.gauss(0.0, 1.0) for _ in range(w.graph.n)])
             f[1] = f[0]
             edge, pair = _energies(form, f[None, :], p)
-            grad = _ratio_gradient(form, f[None, :], p, 0.0, edge, pair)[0]
-            hess = _ratio_hessian(form, f, p, 0.0, edge[0], pair[0], grad)
+            grad = _ratio_gradient(form, f[None, :], p, 0.0, edge, pair)
+            hess = _ratio_hessian(form, f[None, :], p, 0.0, edge, pair, grad)[0]
             assert np.isfinite(hess).all(), p
             assert np.abs(hess - hess.T).max() <= 1e-12 * np.abs(hess).max(), p
