@@ -186,9 +186,9 @@ def optimal_lp_constant(
     8 best rows in range take Newton steps in lockstep, with the Hessian on the tangent space of
     the sphere orthogonal to the constants: along each eigenvector a Newton step scaled by the
     absolute curvature, or the batch's gradient step where that is below 1e-12 of the largest,
-    halved until the row's ratio falls.  A row stops once no halved step lowers its ratio or one
-    lowers it by at most 1e-14 times itself; max_iters caps both phases.  For p < 2 both
-    descend a smoothed ratio (eps = 1e-9).  See PoincareEstimate.
+    halved until the row's ratio falls by a tenth of the first-order decrease (Armijo's rule).
+    A row stops once no halved step does or one lowers the ratio by at most 1e-14 times itself;
+    max_iters caps both phases.  For p < 2 both descend a smoothed ratio (eps = 1e-9).
     """
     _check_exponent(p)
     n = walk.graph.n
@@ -233,14 +233,14 @@ def optimal_lp_constant(
         proj = np.eye(n) - 1.0 / n - f[:, :, None] * f[:, None, :]
         curvature, basis = np.linalg.eigh(proj @ _ratio_hessian(form, f, p, eps, edge[rows], pair[rows], grad) @ proj)
         curvature = np.abs(curvature)  # a descent step along negative curvature too: it leaves saddles
-        step = np.einsum("rji,rj->ri", basis, np.einsum("rij,rj->ri", proj, grad))
-        flat = curvature <= 1e-12 * curvature.max(axis=1, keepdims=True)
-        direction = np.einsum("rij,rj->ri", basis, step / np.where(flat, 1.0 / eta[rows, None], curvature))
-        target, miss = ratio - 1e-15 * ratio, np.arange(len(rows))  # miss: the rows no factor has moved yet
+        curvature = np.where(curvature > 1e-12 * curvature.max(axis=1, keepdims=True), curvature, 1.0 / eta[rows, None])
+        tangent = np.einsum("rij,rj->ri", proj, grad)
+        direction = np.einsum("rij,rj->ri", basis, np.einsum("rji,rj->ri", basis, tangent) / curvature)
+        armijo, miss = 0.1 * (tangent * direction).sum(axis=1), np.arange(len(rows))  # miss: rows not yet moved
         for factors in ladder:
             cand = _project(f[miss, None] - factors[:, None] * direction[miss, None])  # (rows, factors, n)
             cand_edge, cand_pair = _energies(form, cand, p, eps)
-            fell = _in_range(cand_edge, cand_pair) & (cand_edge / cand_pair < target[miss, None])
+            fell = _in_range(cand_edge, cand_pair) & (cand_edge / cand_pair < (ratio - factors[:, None] * armijo).T[miss])
             hit = fell.any(axis=1)
             at, first = rows[miss[hit]], fell[hit].argmax(axis=1)
             F[at], edge[at], pair[at] = cand[hit, first], cand_edge[hit, first], cand_pair[hit, first]

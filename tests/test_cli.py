@@ -753,9 +753,9 @@ class TestGoldenResults:
             (
                 1.5,
                 0.7534301401265697,
-                1.3871401852748868e-11,
+                6.9354779740755525e-12,
                 19,
-                [0.42644877008946097, 0.5682402177908689, -0.5137976101947596, -0.48089137768557044],
+                [0.4264487700883403, 0.5682402177918143, -0.5137976101955192, -0.4808913776846355],
             ),
         ],
         ids=["p2", "p1.5"],
