@@ -26,6 +26,7 @@ from __future__ import annotations
 
 import argparse
 import dataclasses
+import functools
 import hashlib
 import json
 import math
@@ -97,6 +98,7 @@ def main(argv=None) -> int:
     return code
 
 
+@functools.lru_cache(maxsize=None)  # parse_args reads the parser and returns a fresh Namespace
 def _build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="mexp",

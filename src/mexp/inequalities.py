@@ -9,10 +9,12 @@ exactly, so tol matters only where a side is a float: there the slack only
 ever helps a check pass, excusing float noise and with it any true
 violation smaller than tol.  Two verifiers decide exactly with no slack:
 coarea compares its level-set identity in integers over one common
-denominator, and the auxiliary-walk verifier compares counts and
-rationals.  Both trial verifiers need at least one trial.  Each verifier
-passes the values it read to _report, the one place that renders a
-report's inputs for a bit-for-bit replay.
+denominator, all trials in one array pass (int64 when sum(A) * max(F)^2 <
+2^63 bounds every sum, else Python ints; each level set's cut summed on its
+own), and the auxiliary-walk verifier compares counts and rationals.  Both
+trial verifiers need at least one trial.  Each verifier passes the values it
+read to _report, the one place that renders a report's inputs for a
+bit-for-bit replay.
 
 THEOREMS maps each theorem name to its verifier, whether the verifier
 takes the walk (True) or the graph (False), and the keyword options it
@@ -33,7 +35,7 @@ from .cheeger import DEFAULT_CAP, cheeger_conductance, cheeger_vertex
 from .graphs import MeasuredGraph, VertexSubset, bfs_distances
 from .poincare import _check_exponent, _energies, _walk_arrays, cp_formula
 from .rationals import InputError, format_rational
-from .spectral import coarea_check, delta_gap, measured_gap
+from .spectral import _coarea_sides, delta_gap, measured_gap
 from .walks import ReversibleWalk, auxiliary_walk
 
 DEFAULT_TOLERANCE = 1e-8
@@ -223,14 +225,13 @@ def _check_trials(trials: int):
 
 
 def verify_coarea(walk: ReversibleWalk, trials: int = DEFAULT_TRIALS, seed: int = 0) -> InequalityReport:
-    """Exact level-set identity on seeded random nonnegative rational functions."""
+    """Exact level-set identity on seeded random nonnegative rational functions f(v) =
+    randrange(0, 16) / randrange(1, 8), all trials in one batch of F = 420 f (420 = lcm(1..7))."""
     _check_trials(trials)
     rng = random.Random(seed)
-    mismatches = 0
-    for _ in range(trials):
-        f = [Fraction(rng.randrange(0, 16), rng.randrange(1, 8)) for _ in range(walk.graph.n)]
-        if not coarea_check(walk, f).equal:
-            mismatches += 1
+    rows = [[rng.randrange(0, 16) * (420 // rng.randrange(1, 8)) for _ in range(walk.graph.n)] for _ in range(trials)]
+    direct, level_sum = _coarea_sides(walk, rows)
+    mismatches = int(np.count_nonzero(direct != level_sum))
     checks = (_check("level-set identity mismatches == 0", mismatches, 0, 0),)
     return _report("coarea", checks, n=walk.graph.n, trials=trials, seed=seed, mismatches=mismatches)
 

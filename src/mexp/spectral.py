@@ -141,9 +141,10 @@ def coarea_check(walk: ReversibleWalk, f: Sequence) -> CoareaReport:
     """Verify the level-set decomposition for a nonnegative rational function.
 
     Both sides are exact integers over one common denominator q^2 * scale,
-    with f = F/q (q the lcm of f's denominators) and a = A/scale
-    (walk.integer_conductances).  Each level set's cut is summed edge by
-    edge on its own, so the comparison is not vacuous.
+    f = F/q (q the lcm of its denominators) and a = A/scale (walk.integer_conductances),
+    from _coarea_sides on the one row F: int64 when sum(A) * max(F)^2 < 2^63 bounds
+    every term and partial sum, else Python ints.  Each level set's cut is
+    summed on its own, so the comparison is not vacuous.
     """
     big_f, q = scaled_integers(f)
     if len(big_f) != walk.graph.n:
@@ -151,18 +152,39 @@ def coarea_check(walk: ReversibleWalk, f: Sequence) -> CoareaReport:
     for v, x in enumerate(big_f):
         if x < 0:
             raise InputError(f"entry {v} is negative ({Fraction(x, q)}); the identity needs f >= 0")
-    weights, scale = walk.integer_conductances
-    edges = list(zip(walk.graph.edges, weights))
-    direct = sum(abs(big_f[u] ** 2 - big_f[v] ** 2) * a for (u, v), a in edges)
-    betas = sorted(set(big_f))
-    level_sum = sum(_level_cut(edges, big_f, hi) * (hi * hi - lo * lo) for lo, hi in zip(betas, betas[1:]))
-    den = q * q * scale
+    direct, level_sum = (int(side[0]) for side in _coarea_sides(walk, [big_f]))
+    den = q * q * walk.integer_conductances[1]
     return CoareaReport(Fraction(direct, den), Fraction(level_sum, den), direct == level_sum)
 
 
-def _level_cut(edges, values, level: int) -> int:
-    """Weight of the edges with exactly one end in the level set {values >= level}."""
-    return sum(a for (u, v), a in edges if (values[u] >= level) != (values[v] >= level))
+_BLOCK_ENTRIES = 1 << 16  # entries of one block's (rows, levels, edges) cut tensor; a block has at least one row
+
+
+def _coarea_sides(walk: ReversibleWalk, rows):
+    """The integer sides of CoareaReport for each row F of nonnegative integers,
+    in blocks of rows: the levels beta_i are the sorted row, where equal
+    neighbours weigh beta_i^2 - beta_{i-1}^2 = 0, and each level's cut comes
+    from _level_cut on its own."""
+    weights, _ = walk.integer_conductances
+    dtype = np.int64 if sum(weights) * max(map(max, rows)) ** 2 < 1 << 63 else object
+    big_f = np.array(rows, dtype=dtype)
+    u, v = np.array(walk.graph.edges, dtype=np.intp).T
+    edges = (u, v, np.array(weights, dtype=dtype))
+    step = max(1, _BLOCK_ENTRIES // ((big_f.shape[1] - 1) * len(u)))
+    direct, level_sum = [], []
+    for start in range(0, len(big_f), step):
+        block = big_f[start : start + step]
+        betas = np.sort(block, axis=1)
+        direct.append(np.abs(block[:, u] ** 2 - block[:, v] ** 2) @ edges[2])
+        weight = betas[:, 1:] ** 2 - betas[:, :-1] ** 2
+        level_sum.append((_level_cut(edges, block, betas[:, 1:]) * weight).sum(axis=1))
+    return np.concatenate(direct), np.concatenate(level_sum)
+
+
+def _level_cut(edges, values, level):
+    """Weight of the edges (u, v, A) with exactly one end in {values >= level}, per row and level."""
+    u, v, a = edges
+    return ((values[:, None, u] >= level[..., None]) != (values[:, None, v] >= level[..., None])) @ a
 
 
 def delta_gap(walk: ReversibleWalk) -> float:

@@ -1160,6 +1160,33 @@ class TestOptions:
         assert code == 0 and report_of(out)["seed"] == 5
 
 
+class TestParserCache:
+    def test_one_parser_serves_calls_as_fresh_parsers_do(self, capsys, monkeypatch, c6_file):
+        calls = [
+            ("verify", "--input", c6_file, "--theorem", "coarea", "--trials", "7", "--seed", "3"),
+            ("verify", "--input", c6_file, "--theorem", "no-such-theorem"),
+            ("--help",),
+            ("cheeger", "--input", c6_file),
+        ]
+
+        def outputs():
+            results = []
+            for argv in calls:
+                code, out, err = run(capsys, *argv)
+                if code == 0 and argv[0] != "--help":
+                    out = report_of(out)
+                    out.pop("timing")
+                results.append((code, out, err))
+            return results
+
+        cached = outputs()
+        assert cli._build_parser() is cli._build_parser()
+        monkeypatch.setattr(cli, "_build_parser", cli._build_parser.__wrapped__)
+        assert cli._build_parser() is not cli._build_parser()
+        assert [code for code, _, _ in cached] == [0, 2, 0, 0]
+        assert cached == outputs()
+
+
 class TestReadme:
     def block(self, heading, language=""):
         text = (Path(cli.__file__).resolve().parents[2] / "README.md").read_text(encoding="utf-8")

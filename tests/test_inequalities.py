@@ -1,5 +1,6 @@
 import math
 import random
+import tracemalloc
 from fractions import Fraction
 
 import pytest
@@ -25,11 +26,11 @@ from mexp import (
     verify_measured_sandwich,
     verify_poincare_to_cheeger,
 )
-from mexp import cheeger
+from mexp import cheeger, inequalities, spectral
 from mexp.cli import main
 from mexp.graphs import diameter, dump_graph
 from mexp.inequalities import THEOREMS
-from mexp.families import make_cycle
+from mexp.families import make_complete, make_cycle
 from mexp.poincare import cp_formula
 from mexp.rationals import format_rational
 
@@ -380,6 +381,66 @@ class TestTrialVerifiers:
                 assert report.inputs["cheeger"] == format_rational(c)
                 assert float(report.inputs["min_ratio"]) == pytest.approx(worst, rel=1e-15, abs=0)
                 assert report.holds == holds
+
+    def test_coarea_batch_matches_per_trial_loop(self, monkeypatch):
+        # the batch tests the functions the per-trial loop draws, as F = 420 f,
+        # and each trial's sides are the Fraction reference's over 420^2 * scale
+        batches = []
+
+        def recorded(walk, rows):
+            batches.append((rows, spectral._coarea_sides(walk, rows)))
+            return batches[-1][1]
+
+        monkeypatch.setattr(inequalities, "_coarea_sides", recorded)
+        rng = random.Random(92)
+        for seed in range(21):
+            walk = helpers.rand_walk(rng, 2, 12)
+            report = verify_coarea(walk, trials=30, seed=seed)
+            rows, (direct, level_sum) = batches.pop()
+            assert len(rows) == 30 and not batches
+            draws = random.Random(seed)
+            den = 420 * 420 * walk.integer_conductances[1]
+            mismatches = 0
+            for row, d, s in zip(rows, direct, level_sum):
+                f = [Fraction(draws.randrange(0, 16), draws.randrange(1, 8)) for _ in range(walk.graph.n)]
+                assert [Fraction(x, 420) for x in row] == f
+                sides = oracles.coarea_sides(walk, f)
+                assert (Fraction(int(d), den), Fraction(int(s), den)) == sides
+                mismatches += sides[0] != sides[1]
+            assert report.inputs == {"n": walk.graph.n, "trials": 30, "seed": seed, "mismatches": mismatches}
+            assert report.holds == (mismatches == 0) and report.checks[0].lhs == mismatches
+
+    def test_coarea_counts_every_non_constant_trial_under_a_wrong_cut(self, monkeypatch):
+        # one more unit of cut weight per level adds max(f)^2 - min(f)^2 to a
+        # trial's level sum, which is zero only when the trial is constant
+        cut = spectral._level_cut
+        monkeypatch.setattr(spectral, "_level_cut", lambda edges, values, level: cut(edges, values, level) + 1)
+        rng = random.Random(93)
+        constant = 0
+        for seed in range(20):
+            walk = helpers.rand_walk(rng, 2, 3)
+            report = verify_coarea(walk, trials=40, seed=seed)
+            draws = random.Random(seed)
+            rows = [[Fraction(draws.randrange(0, 16), draws.randrange(1, 8)) for _ in range(walk.graph.n)] for _ in range(40)]
+            flat = sum(len(set(f)) == 1 for f in rows)
+            assert report.inputs["mismatches"] == 40 - flat and not report.holds
+            constant += flat
+        assert constant >= 5  # 9 of the 800 trials are constant
+
+    @pytest.mark.parametrize("n", [40, 100])
+    def test_coarea_blocks_bound_the_cut_tensor(self, n):
+        # 200 trials on K40 (780 edges, 39 levels a row): the whole (trials,
+        # levels, edges) cut tensor at once peaks near 55 MB, blocks of 2^16
+        # entries (2 rows) at about 1 MB; K100 takes one row per block
+        walk = auxiliary_walk(make_complete(n))
+        tracemalloc.start()
+        try:
+            report = verify_coarea(walk, trials=200)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert report.holds
+        assert peak < 12 << 20, peak
 
     def test_constant_rows_are_dropped(self, monkeypatch):
         # a coarse rng makes whole rows constant; they have no pair energy

@@ -20,6 +20,7 @@ from mexp import (
     measured_gap,
     spectrum,
 )
+from mexp import spectral
 from mexp.families import make_cycle, make_hypercube
 
 
@@ -343,3 +344,38 @@ class TestCoarea:
         assert report.direct == 16
         assert report.level_sum == 16 + 1 + 3
         assert not report.equal
+
+    def test_batch_rows_match_the_fraction_reference(self, monkeypatch):
+        # each row of one batch, in one block or in blocks of one or two rows,
+        # has the per-trial Fraction reference's sides times the conductances' scale
+        rng = random.Random(2025)
+        dtypes = set()
+        for i in range(45):
+            walk = helpers.bigint_walk(rng) if i % 3 == 0 else helpers.rand_walk(rng, 2, 10)
+            top = 1 << rng.choice((4, 20, 70))
+            rows = [[rng.randrange(top) for _ in range(walk.graph.n)] for _ in range(rng.randrange(1, 12))]
+            rows.append([rows[0][0]] * walk.graph.n)
+            scale = walk.integer_conductances[1]
+            expected = [tuple(side * scale for side in oracles.coarea_sides(walk, row)) for row in rows]
+            for entries in (spectral._BLOCK_ENTRIES, 1, 2 * (walk.graph.n - 1) * len(walk.graph.edges)):
+                monkeypatch.setattr(spectral, "_BLOCK_ENTRIES", entries)
+                direct, level_sum = spectral._coarea_sides(walk, rows)
+                assert [(int(d), int(s)) for d, s in zip(direct, level_sum)] == expected
+                dtypes.add(direct.dtype)
+        assert dtypes == {np.dtype(np.int64), np.dtype(object)}
+
+    @pytest.mark.parametrize("total, dtype", [(7, np.int64), (8, object)])
+    def test_dtype_either_side_of_the_int64_bound(self, total, dtype):
+        # sum(A) * max(F)^2 = total * 2^60: 7 * 2^60 < 2^63 keeps int64, while
+        # 8 * 2^60 = 2^63 needs Python ints.  F = (M, 0, M, 0) cuts every edge
+        # of the 4-cycle, so its direct side is the bound itself, where int64
+        # would wrap
+        graph = make_cycle(4)
+        walk = from_conductance(graph, dict(zip(graph.edges, (1, 2, 2, total - 5))))
+        top = 1 << 30
+        rows = [[top, 0, top, 0], [top, top >> 1, 3, top], [0, 0, 0, 0]]
+        direct, level_sum = spectral._coarea_sides(walk, rows)
+        assert direct.dtype == dtype and level_sum.dtype == dtype
+        assert int(direct[0]) == total << 60
+        sides = [tuple(map(int, pair)) for pair in zip(direct, level_sum)]
+        assert sides == [oracles.coarea_sides(walk, row) for row in rows]
