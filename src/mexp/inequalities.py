@@ -12,9 +12,13 @@ coarea compares its level-set identity in integers over one common
 denominator, all trials in one array pass (int64 when sum(A) * max(F)^2 <
 2^63 bounds every sum, else Python ints; each level set's cut summed on its
 own), and the auxiliary-walk verifier compares counts and rationals.  Both
-trial verifiers need at least one trial.  Each verifier passes the values it
-read to _report, the one place that renders a report's inputs for a
-bit-for-bit replay.
+trial verifiers need at least one trial, and draw all their trials from one
+random.Random(seed).randbytes call, two uint64 words per entry
+(poincare._seeded_words).  A seed tests other functions than the per-entry
+randrange and gauss draws of earlier releases did, but no verdict can
+differ: c_p is a proved bound and co-area an identity.  Each verifier passes
+the values it read to _report, the one place that renders a report's inputs
+for a bit-for-bit replay.
 
 THEOREMS maps each theorem name to its verifier, whether the verifier
 takes the walk (True) or the graph (False), and the keyword options it
@@ -24,7 +28,6 @@ reads; the CLI takes its --theorem choices and its dispatch from it.
 from __future__ import annotations
 
 import math
-import random
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Sequence
@@ -33,7 +36,7 @@ import numpy as np
 
 from .cheeger import DEFAULT_CAP, cheeger_conductance, cheeger_vertex
 from .graphs import MeasuredGraph, VertexSubset, bfs_distances
-from .poincare import _check_exponent, _energies, _walk_arrays, cp_formula
+from .poincare import _check_exponent, _energies, _gaussian_rows, _seeded_words, _walk_arrays, cp_formula
 from .rationals import InputError, format_rational
 from .spectral import _coarea_sides, delta_gap, measured_gap
 from .walks import ReversibleWalk, auxiliary_walk
@@ -225,11 +228,13 @@ def _check_trials(trials: int):
 
 
 def verify_coarea(walk: ReversibleWalk, trials: int = DEFAULT_TRIALS, seed: int = 0) -> InequalityReport:
-    """Exact level-set identity on seeded random nonnegative rational functions f(v) =
-    randrange(0, 16) / randrange(1, 8), all trials in one batch of F = 420 f (420 = lcm(1..7))."""
+    """Exact level-set identity on seeded random nonnegative rational functions, all trials
+    in one batch of F = 420 f (420 = lcm(1..7)).  Each entry's words (w1, w2) of
+    poincare._seeded_words give F = (w1 mod 16) * (420 // (1 + w2 mod 7)):
+    f = randrange(0, 16) / randrange(1, 8) up to a 2^-61 bias."""
     _check_trials(trials)
-    rng = random.Random(seed)
-    rows = [[rng.randrange(0, 16) * (420 // rng.randrange(1, 8)) for _ in range(walk.graph.n)] for _ in range(trials)]
+    words = _seeded_words(seed, trials, walk.graph.n)
+    rows = (words[..., 0] & 15) * (420 // (1 + words[..., 1] % 7))
     direct, level_sum = _coarea_sides(walk, rows)
     mismatches = int(np.count_nonzero(direct != level_sum))
     checks = (_check("level-set identity mismatches == 0", mismatches, 0, 0),)
@@ -244,15 +249,15 @@ def verify_lp_poincare(
     cap: int = DEFAULT_CAP,
     tol: float = DEFAULT_TOLERANCE,
 ) -> InequalityReport:
-    """Every random test function satisfies energy ratio >= c_p(cheeger, p)."""
+    """Every random test function satisfies energy ratio >= c_p(cheeger, p): the trials are
+    the rows of poincare._gaussian_rows(seed, trials, n), the constant ones left out."""
     _check_trials(trials)
     _check_exponent(p)
     c = cheeger_conductance(walk, constraint=walk.mu, cap=cap).value
     floor = cp_formula(float(c), p)
-    rng = random.Random(seed)
     n = walk.graph.n
-    draws = ([rng.gauss(0.0, 1.0) for _ in range(n)] for _ in range(trials))
-    rows = np.array([f for f in draws if max(f) != min(f)]).reshape(-1, n)
+    rows = _gaussian_rows(seed, trials, n)
+    rows = rows[rows.max(axis=1) != rows.min(axis=1)]
     edge, pair = _energies(_walk_arrays(walk), rows, p)
     worst = float((edge / pair).min(initial=math.inf))
     checks = (_check("c_p <= min energy ratio", floor, worst, tol),)

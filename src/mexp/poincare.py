@@ -181,14 +181,15 @@ def optimal_lp_constant(
 ) -> PoincareEstimate:
     """Multi-start projected gradient descent on the Lp energy ratio, then Newton on the best rows.
 
-    The batch, `restarts` seeded Gaussian rows and the delta-pencil eigenvector of the first
+    The batch, `restarts` rows of _gaussian_rows and the delta-pencil eigenvector of the first
     nonzero eigenvalue (the optimum at p = 2), takes 10 backtracked steps in lockstep.  Then its
     8 best rows in range take Newton steps in lockstep, with the Hessian on the tangent space of
     the sphere orthogonal to the constants: along each eigenvector a Newton step scaled by the
     absolute curvature, or the batch's gradient step where that is below 1e-12 of the largest,
     halved until the row's ratio falls by a tenth of the first-order decrease (Armijo's rule).
     A row stops once no halved step does or one lowers the ratio by at most 1e-14 times itself;
-    max_iters caps both phases.  For p < 2 both descend a smoothed ratio (eps = 1e-9).
+    max_iters caps both phases.  For p < 2 both descend a smoothed ratio (eps = 1e-9).  The
+    starts are not earlier releases' gauss draws, so a seed's estimate may differ from theirs.
     """
     _check_exponent(p)
     n = walk.graph.n
@@ -198,9 +199,7 @@ def optimal_lp_constant(
         raise InputError("need at least one restart")
     form = _walk_arrays(walk)
     eps = _SMOOTHING_EPS if p < 2 else 0.0
-    rng = random.Random(seed)
-    start = [[rng.gauss(0.0, 1.0) for _ in range(n)] for _ in range(restarts)]
-    F = _project(np.array([*start, eigenpairs(delta_operator(walk))[1][:, 1]]))
+    F = _project(np.vstack([_gaussian_rows(seed, restarts, n), eigenpairs(delta_operator(walk))[1][:, 1]]))
     with np.errstate(all="ignore"):  # at an extreme p no start row's energies are in range
         edge, pair = _energies(form, F, p, eps)
         ratio = edge / pair
@@ -260,6 +259,18 @@ def optimal_lp_constant(
         gradient_norm=float(np.linalg.norm((np.eye(n) - 1.0 / n - np.outer(f, f)) @ grad)),
         iterations=iterations,
     )
+
+
+def _seeded_words(seed: int, rows: int, n: int) -> np.ndarray:
+    """(rows, n, 2) words, two per entry in order: one random.Random(seed).randbytes call as little-endian uint64."""
+    return np.frombuffer(random.Random(seed).randbytes(16 * rows * n), dtype="<u8").reshape(rows, n, 2)
+
+
+def _gaussian_rows(seed: int, rows: int, n: int) -> np.ndarray:
+    """(rows, n) standard normals: Box-Muller on the 53-bit uniforms u = ((w >> 11) + 1) 2^-53 in (0, 1]
+    of each entry's words, z = sqrt(-2 ln u1) cos(2 pi u2), finite even at w = 0."""
+    u = ((_seeded_words(seed, rows, n) >> 11) + 1) * 2.0**-53
+    return np.sqrt(-2.0 * np.log(u[..., 0])) * np.cos(2.0 * np.pi * u[..., 1])
 
 
 def _project(F: np.ndarray) -> np.ndarray:

@@ -161,15 +161,15 @@ _BLOCK_ENTRIES = 1 << 16  # entries of one block's (rows, levels, edges) cut ten
 
 
 def _coarea_sides(walk: ReversibleWalk, rows):
-    """The integer sides of CoareaReport for each row F of nonnegative integers,
-    in blocks of rows: the levels beta_i are the sorted row, where equal
+    """The integer sides of CoareaReport for each row F of nonnegative integers (lists or an
+    integer array), in blocks of rows: the levels beta_i are the sorted row, where equal
     neighbours weigh beta_i^2 - beta_{i-1}^2 = 0, and each level's cut comes
     from _level_cut on its own."""
     weights, _ = walk.integer_conductances
-    dtype = np.int64 if sum(weights) * max(map(max, rows)) ** 2 < 1 << 63 else object
-    big_f = np.array(rows, dtype=dtype)
+    big_f = np.asarray(rows)
+    big_f = big_f.astype(np.int64 if sum(weights) * int(big_f.max()) ** 2 < 1 << 63 else object)
     u, v = np.array(walk.graph.edges, dtype=np.intp).T
-    edges = (u, v, np.array(weights, dtype=dtype))
+    edges = (u, v, np.array(weights, dtype=big_f.dtype))
     step = max(1, _BLOCK_ENTRIES // ((big_f.shape[1] - 1) * len(u)))
     direct, level_sum = [], []
     for start in range(0, len(big_f), step):

@@ -4,7 +4,8 @@ Everything here recomputes quantities straight from their definitions with
 sets, loops, and Fractions; no bitmask tricks, no shared code with the
 implementations under test, and no numpy except in the per-trial Lp
 Poincare loop and the fixed-budget optimizer at the end, a reference copy
-of the batched gradient loop.
+of the batched gradient loop.  The seeded trial functions are re-derived
+entry by entry from random.Random(seed).randbytes with struct and math.
 """
 
 from __future__ import annotations
@@ -12,6 +13,7 @@ from __future__ import annotations
 import itertools
 import math
 import random
+import struct
 from fractions import Fraction
 
 import numpy as np
@@ -176,6 +178,29 @@ def cycle_eigenvector(n: int, mode: int):
     return [math.cos(2.0 * math.pi * mode * j / n) for j in range(n)]
 
 
+def seeded_word_pairs(seed, count: int):
+    """The first `count` pairs (w1, w2) of little-endian uint64 words of
+    random.Random(seed).randbytes(16 * count), unpacked one pair at a time."""
+    data = random.Random(seed).randbytes(16 * count)
+    return [struct.unpack_from("<QQ", data, 16 * j) for j in range(count)]
+
+
+def seeded_gaussian_rows(seed, rows: int, n: int):
+    """rows lists of n Box-Muller normals, one entry per word pair: the 53-bit
+    uniforms u = ((w >> 11) + 1) / 2^53 in (0, 1], z = sqrt(-2 ln u1) cos(2 pi u2)."""
+    z = []
+    for w1, w2 in seeded_word_pairs(seed, rows * n):
+        u1, u2 = ((w1 >> 11) + 1) * 2.0**-53, ((w2 >> 11) + 1) * 2.0**-53
+        z.append(math.sqrt(-2.0 * math.log(u1)) * math.cos(2.0 * math.pi * u2))
+    return [z[i * n : (i + 1) * n] for i in range(rows)]
+
+
+def seeded_coarea_rows(seed, rows: int, n: int):
+    """rows lists of n Fractions f = (w1 mod 16) / (1 + w2 mod 7), one entry per word pair."""
+    f = [Fraction(w1 % 16, 1 + w2 % 7) for w1, w2 in seeded_word_pairs(seed, rows * n)]
+    return [f[i * n : (i + 1) * n] for i in range(rows)]
+
+
 def coarea_sides(walk, f):
     """(direct, level_sum) of the level-set identity in Fractions: direct edge
     by edge over walk.a, level_sum one level set {f >= beta_i} at a time."""
@@ -317,8 +342,7 @@ def fixed_budget_lp_constant(walk, p: float, restarts: int = 64, seed: int = 0, 
     n = walk.graph.n
     arrays = lp_walk_arrays(walk)
     eps = 1e-9 if p < 2 else 0.0
-    rng = random.Random(seed)
-    F = _lp_project(np.array([[rng.gauss(0.0, 1.0) for _ in range(n)] for _ in range(restarts)]))
+    F = _lp_project(np.array(seeded_gaussian_rows(seed, restarts, n)))
     edge, pair = lp_energies(arrays, F, p, eps)
     ratio = edge / pair
     eta = np.full(restarts, 0.1)
@@ -343,13 +367,11 @@ def fixed_budget_lp_constant(walk, p: float, restarts: int = 64, seed: int = 0, 
 
 def per_trial_lp_poincare(walk, p: float, floor: float, trials: int, seed: int, tol: float = 1e-8):
     """(min energy ratio, holds) of the Lp Poincare check one trial at a
-    time: rows of seeded gaussians drawn in order, constant rows skipped,
+    time: the rows of seeded_gaussian_rows in order, constant rows skipped,
     holds meaning floor <= min ratio + tol."""
     arrays = lp_walk_arrays(walk)
-    rng = random.Random(seed)
     worst = math.inf
-    for _ in range(trials):
-        f = [rng.gauss(0.0, 1.0) for _ in range(walk.graph.n)]
+    for f in seeded_gaussian_rows(seed, trials, walk.graph.n):
         if max(f) == min(f):
             continue
         edge, pair = lp_energies(arrays, np.array([f]), p, 0.0)

@@ -611,15 +611,15 @@ GOLDEN_VERIFY = {
         [("level-set identity mismatches == 0", 0, 0, 0)],
         {"n": 4, "trials": 5, "seed": 0, "mismatches": 0},
     ),
-    "lp-poincare": (
+    "lp-poincare": (  # min_ratio re-pinned for the trials drawn from one randbytes call
         ["--trials", "5", "--seed", "0"],
-        [("c_p <= min energy ratio", 0.0067065219610284894, 1.0710880917835433, 1.0643815698225148)],
+        [("c_p <= min energy ratio", 0.0067065219610284894, 0.8997102450902834, 0.8930037231292549)],
         {
             "n": 4,
             "p": 2.0,
             "cheeger": "145/313",
             "c_p": "0.0067065219610284894",
-            "min_ratio": "1.0710880917835433",
+            "min_ratio": "0.8997102450902834",
             "trials": 5,
             "seed": 0,
             "tolerance": 1e-08,
@@ -739,7 +739,8 @@ class TestGoldenResults:
     # the polished rows (iterations counts the lockstep steps until the last
     # of them stops).  At p = 1.5 the ratio is flat to second order at the
     # optimum, so the minimizer (to about 1e-8) and gradient_norm are
-    # round-off: re-pinned for the 8-row Newton polish
+    # round-off: re-pinned for the 8-row Newton polish.  The byte-drawn starts
+    # left every value but the p = 1.5 step count (19 -> 18) where it was
     @pytest.mark.parametrize(
         "p, estimate, gradient_norm, iterations, minimizer",
         [
@@ -754,7 +755,7 @@ class TestGoldenResults:
                 1.5,
                 0.7534301401265697,
                 6.9354779740755525e-12,
-                19,
+                18,
                 [0.4264487700883403, 0.5682402177918143, -0.5137976101955192, -0.4808913776846355],
             ),
         ],

@@ -1,8 +1,13 @@
 import math
+import os
 import random
+import subprocess
+import sys
 import tracemalloc
 from fractions import Fraction
+from pathlib import Path
 
+import numpy as np
 import pytest
 
 import helpers
@@ -26,7 +31,7 @@ from mexp import (
     verify_measured_sandwich,
     verify_poincare_to_cheeger,
 )
-from mexp import cheeger, inequalities, spectral
+from mexp import cheeger, inequalities, poincare, spectral
 from mexp.cli import main
 from mexp.graphs import diameter, dump_graph
 from mexp.inequalities import THEOREMS
@@ -383,8 +388,8 @@ class TestTrialVerifiers:
                 assert report.holds == holds
 
     def test_coarea_batch_matches_per_trial_loop(self, monkeypatch):
-        # the batch tests the functions the per-trial loop draws, as F = 420 f,
-        # and each trial's sides are the Fraction reference's over 420^2 * scale
+        # the batch tests the functions the seeded words give entry by entry, as
+        # F = 420 f, and each trial's sides are the Fraction reference's over 420^2 * scale
         batches = []
 
         def recorded(walk, rows):
@@ -398,12 +403,10 @@ class TestTrialVerifiers:
             report = verify_coarea(walk, trials=30, seed=seed)
             rows, (direct, level_sum) = batches.pop()
             assert len(rows) == 30 and not batches
-            draws = random.Random(seed)
             den = 420 * 420 * walk.integer_conductances[1]
             mismatches = 0
-            for row, d, s in zip(rows, direct, level_sum):
-                f = [Fraction(draws.randrange(0, 16), draws.randrange(1, 8)) for _ in range(walk.graph.n)]
-                assert [Fraction(x, 420) for x in row] == f
+            for row, d, s, f in zip(rows, direct, level_sum, oracles.seeded_coarea_rows(seed, 30, walk.graph.n)):
+                assert [Fraction(int(x), 420) for x in row] == f
                 sides = oracles.coarea_sides(walk, f)
                 assert (Fraction(int(d), den), Fraction(int(s), den)) == sides
                 mismatches += sides[0] != sides[1]
@@ -420,12 +423,11 @@ class TestTrialVerifiers:
         for seed in range(20):
             walk = helpers.rand_walk(rng, 2, 3)
             report = verify_coarea(walk, trials=40, seed=seed)
-            draws = random.Random(seed)
-            rows = [[Fraction(draws.randrange(0, 16), draws.randrange(1, 8)) for _ in range(walk.graph.n)] for _ in range(40)]
+            rows = oracles.seeded_coarea_rows(seed, 40, walk.graph.n)
             flat = sum(len(set(f)) == 1 for f in rows)
             assert report.inputs["mismatches"] == 40 - flat and not report.holds
             constant += flat
-        assert constant >= 5  # 9 of the 800 trials are constant
+        assert constant >= 5  # 19 of the 800 trials are constant
 
     @pytest.mark.parametrize("n", [40, 100])
     def test_coarea_blocks_bound_the_cut_tensor(self, n):
@@ -443,10 +445,11 @@ class TestTrialVerifiers:
         assert peak < 12 << 20, peak
 
     def test_constant_rows_are_dropped(self, monkeypatch):
-        # a coarse rng makes whole rows constant; they have no pair energy
+        # a coarse rng makes whole rows constant; they have no pair energy.  Each
+        # 16-byte entry is all zeros or all ones, so an entry takes one of two values
         class Coarse(random.Random):
-            def gauss(self, mu=0.0, sigma=1.0):
-                return float(self.randrange(2))
+            def randbytes(self, k):
+                return b"".join(bytes([255 * self.randrange(2)]) * 16 for _ in range(k // 16))
 
         monkeypatch.setattr(random, "Random", Coarse)
         rng = Coarse(91)
@@ -454,11 +457,61 @@ class TestTrialVerifiers:
         for i in range(20):
             walk = helpers.rand_walk(rng, 2, 3)
             report = verify_lp_poincare(walk, 2.0, trials=8, seed=i)
-            draws = Coarse(i)
-            rows = [[draws.gauss() for _ in range(walk.graph.n)] for _ in range(8)]
+            rows = oracles.seeded_gaussian_rows(i, 8, walk.graph.n)
             constant += sum(max(f) == min(f) for f in rows)
             floor = float(report.inputs["c_p"])
             worst, holds = oracles.per_trial_lp_poincare(walk, 2.0, floor, 8, i)
             assert float(report.inputs["min_ratio"]) == pytest.approx(worst, rel=1e-15, abs=0)
             assert report.holds == holds
         assert constant >= 20
+
+
+class TestSeededRows:
+    """The map from one call's random.Random(seed).randbytes to its trial rows."""
+
+    def test_gaussian_entries_are_finite_and_standard(self):
+        # 10^5 entries: mean and variance within about 5 standard errors
+        z = np.concatenate([poincare._gaussian_rows(seed, 1000, 10).ravel() for seed in range(10)])
+        assert z.size == 10**5 and np.isfinite(z).all()
+        assert abs(z.mean()) < 0.016 and abs(z.var() - 1.0) < 0.025
+
+    def test_the_all_zero_word_gives_a_finite_row(self, monkeypatch):
+        # u = 2^-53 is the smallest uniform: no log(0), so no RuntimeWarning
+        monkeypatch.setattr(random.Random, "randbytes", lambda self, k: bytes(k))
+        (row,) = poincare._gaussian_rows(0, 1, 6)
+        assert row.tolist() == [math.sqrt(-2.0 * math.log(2.0**-53)) * math.cos(2.0 * math.pi * 2.0**-53)] * 6
+        report = verify_lp_poincare(auxiliary_walk(make_cycle(6)), 1.5, trials=3)  # every row constant, all dropped
+        assert report.holds and report.inputs["min_ratio"] == "inf"
+
+    def test_coarea_entries_cover_every_numerator_and_denominator(self, monkeypatch):
+        # F = a * (420 // d) with a = w1 mod 16 and d = 1 + w2 mod 7, for each
+        # entry's word pair; all 112 pairs (a, d) occur in 20,000 entries
+        batches = []
+
+        def recorded(walk, rows):
+            batches.append(np.asarray(rows).ravel())
+            return spectral._coarea_sides(walk, rows)
+
+        monkeypatch.setattr(inequalities, "_coarea_sides", recorded)
+        verify_coarea(auxiliary_walk(make_cycle(10)), trials=2000, seed=29)
+        (entries,) = batches
+        pairs = {(w1 % 16, 1 + w2 % 7) for w1, w2 in oracles.seeded_word_pairs(29, 20000)}
+        assert [int(x) for x in entries] == [
+            (w1 % 16) * (420 // (1 + w2 % 7)) for w1, w2 in oracles.seeded_word_pairs(29, 20000)
+        ]
+        assert pairs == {(a, d) for a in range(16) for d in range(1, 8)}
+
+    def test_no_numpy_random(self):
+        # the rows come from the random module's bytes: numpy.random is never imported
+        script = (
+            "import sys, mexp\n"
+            "from mexp.families import make_cycle\n"
+            "walk = mexp.auxiliary_walk(make_cycle(6))\n"
+            "mexp.verify_coarea(walk, seed=-3)\n"
+            "mexp.verify_lp_poincare(walk, 1.5, seed=-3)\n"
+            "mexp.optimal_lp_constant(walk, 3.0, restarts=8, seed=-3)\n"
+            "assert 'numpy.random' not in sys.modules, 'numpy.random was imported'\n"
+        )
+        env = dict(os.environ, PYTHONPATH=str(Path(inequalities.__file__).resolve().parents[1]))
+        proc = subprocess.run([sys.executable, "-c", script], env=env, capture_output=True, timeout=60)
+        assert proc.returncode == 0, proc.stderr.decode()

@@ -233,14 +233,15 @@ class TestOptimizer:
 
     def test_newton_finish_loses_nothing_against_the_fixed_budget(self):
         # walks shaped like the benchmark's optimizer ops: n = 6..12, random
-        # conductances, 64 restarts, the exponent cycling through 1.5, 2, 3
+        # conductances, 64 restarts, the exponent cycling through 1.5, 2, 3;
+        # and p = 4 and 6 on every walk, past the benchmark's exponents
         rng = random.Random(14)
         for i in range(12):
             w = helpers.rand_walk(rng, 6 + i % 7, 6 + i % 7)
-            p = (1.5, 2.0, 3.0)[i % 3]
-            est = optimal_lp_constant(w, p, restarts=64, seed=i)
-            reference, _ = oracles.fixed_budget_lp_constant(w, p, restarts=64, seed=i, iters=800)
-            assert est.estimate <= reference * (1 + 1e-12), (i, p, est.estimate / reference - 1)
+            for p in ((1.5, 2.0, 3.0)[i % 3], 4.0, 6.0):
+                est = optimal_lp_constant(w, p, restarts=64, seed=i)
+                reference, _ = oracles.fixed_budget_lp_constant(w, p, restarts=64, seed=i, iters=800)
+                assert est.estimate <= reference * (1 + 1e-12), (i, p, est.estimate / reference - 1)
 
     def test_p3_converges_within_30_steps_on_benchmark_shaped_walks(self):
         # the walks of the Newton oracle test above: at p = 3 the 10-step batch

@@ -379,3 +379,26 @@ class TestCoarea:
         assert int(direct[0]) == total << 60
         sides = [tuple(map(int, pair)) for pair in zip(direct, level_sum)]
         assert sides == [oracles.coarea_sides(walk, row) for row in rows]
+
+    @pytest.mark.parametrize("rows_dtype", [np.int64, np.uint64])
+    @pytest.mark.parametrize("build", ["bigint", "just-past-the-bound"])
+    def test_array_rows_take_the_object_path_past_the_bound(self, build, rows_dtype):
+        # verify_coarea passes its rows as an integer array, whose max is a numpy
+        # integer: times a bigint sum(A) it overflowed, and near 2^63 it wrapped
+        # and chose int64 where the sums overflow.  6300 = 15 * 420 is the
+        # largest entry verify_coarea draws
+        if build == "bigint":
+            walk = helpers.bigint_walk(random.Random(29))
+        else:
+            graph = make_cycle(4)
+            total = (1 << 63) // 6300**2 + 1  # sum(A) * 6300^2 just above 2^63
+            walk = from_conductance(graph, dict(zip(graph.edges, (1, 2, 3, total - 6))))
+        n = walk.graph.n
+        rng = random.Random(290)
+        rows = [[6300, 0] * (n // 2) + [6300] * (n % 2)]
+        rows += [[rng.randrange(16) * (420 // rng.randrange(1, 8)) for _ in range(n)] for _ in range(6)]
+        direct, level_sum = spectral._coarea_sides(walk, np.array(rows, dtype=rows_dtype))
+        assert direct.dtype == object and level_sum.dtype == object
+        scale = walk.integer_conductances[1]
+        expected = [tuple(side * scale for side in oracles.coarea_sides(walk, row)) for row in rows]
+        assert [(int(d), int(s)) for d, s in zip(direct, level_sum)] == expected
