@@ -495,11 +495,9 @@ class TestSeededRows:
         monkeypatch.setattr(inequalities, "_coarea_sides", recorded)
         verify_coarea(auxiliary_walk(make_cycle(10)), trials=2000, seed=29)
         (entries,) = batches
-        pairs = {(w1 % 16, 1 + w2 % 7) for w1, w2 in oracles.seeded_word_pairs(29, 20000)}
-        assert [int(x) for x in entries] == [
-            (w1 % 16) * (420 // (1 + w2 % 7)) for w1, w2 in oracles.seeded_word_pairs(29, 20000)
-        ]
-        assert pairs == {(a, d) for a in range(16) for d in range(1, 8)}
+        pairs = [(w1 % 16, 1 + w2 % 7) for w1, w2 in oracles.seeded_word_pairs(29, 20000)]
+        assert [int(x) for x in entries] == [a * (420 // d) for a, d in pairs]
+        assert set(pairs) == {(a, d) for a in range(16) for d in range(1, 8)}
 
     def test_no_numpy_random(self):
         # the rows come from the random module's bytes: numpy.random is never imported
