@@ -189,9 +189,8 @@ def asymptotic_profile(
     cap: int = DEFAULT_CAP,
     radii: Sequence[int] | None = None,
 ) -> AsymptoticProfile:
-    """Exact (alpha, R) expansion table for R = 1..diameter by default."""
-    if not graph.connected:
-        raise InputError("asymptotic profile requires a connected graph")
+    """Exact (alpha, R) expansion table for R = 1..diameter by default; only
+    those default radii need a connected graph."""
     _check_cap(graph.n, cap)
     alphas = tuple(Fraction(a) for a in alphas)
     for a in alphas:

@@ -141,7 +141,7 @@ class MeasuredGraph:
 
     @cached_property
     def connected(self) -> bool:
-        return len(self._component_of) > 0 and max(self._component_of) == 0
+        return max(self._component_of) == 0
 
     @cached_property
     def _component_of(self) -> tuple[int, ...]:

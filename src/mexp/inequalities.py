@@ -14,11 +14,10 @@ denominator, all trials in one array pass (int64 when sum(A) * max(F)^2 <
 own), and the auxiliary-walk verifier compares counts and rationals.  Both
 trial verifiers need at least one trial, and draw all their trials from one
 random.Random(seed).randbytes call, two uint64 words per entry
-(poincare._seeded_words).  A seed tests other functions than the per-entry
-randrange and gauss draws of earlier releases did, but no verdict can
-differ: c_p is a proved bound and co-area an identity.  Each verifier passes
-the values it read to _report, the one place that renders a report's inputs
-for a bit-for-bit replay.
+(poincare._seeded_words).  No verdict depends on the draw: c_p is a proved
+bound and co-area an identity.  Each verifier passes the values it read to
+_report, the one place that renders a report's inputs for a bit-for-bit
+replay.
 
 THEOREMS maps each theorem name to its verifier, whether the verifier
 takes the walk (True) or the graph (False), and the keyword options it
@@ -99,9 +98,9 @@ def verify_cheeger_sandwich(
     walk: ReversibleWalk, cap: int = DEFAULT_CAP, tol: float = DEFAULT_TOLERANCE
 ) -> InequalityReport:
     """c^2/2 <= gap <= 2c for the conductance Cheeger constant in mu itself."""
+    gap = delta_gap(walk)
     cert = cheeger_conductance(walk, constraint=walk.mu, cap=cap)
     c = cert.value
-    gap = delta_gap(walk)
     checks = (
         _check("c^2/2 <= gap", c * c / 2, gap, tol),
         _check("gap <= 2c", gap, 2 * c, tol),

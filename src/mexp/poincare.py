@@ -188,8 +188,7 @@ def optimal_lp_constant(
     absolute curvature, or the batch's gradient step where that is below 1e-12 of the largest,
     halved until the row's ratio falls by a tenth of the first-order decrease (Armijo's rule).
     A row stops once no halved step does or one lowers the ratio by at most 1e-14 times itself;
-    max_iters caps both phases.  For p < 2 both descend a smoothed ratio (eps = 1e-9).  The
-    starts are not earlier releases' gauss draws, so a seed's estimate may differ from theirs.
+    max_iters caps both phases.  For p < 2 both descend a smoothed ratio (eps = 1e-9).
     """
     _check_exponent(p)
     n = walk.graph.n

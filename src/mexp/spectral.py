@@ -188,11 +188,11 @@ def _level_cut(edges, values, level):
 
 
 def delta_gap(walk: ReversibleWalk) -> float:
-    """Spectral gap of the walk Laplacian (requires a connected graph)."""
-    result = spectrum(delta_operator(walk))
-    if result.gap is None:
-        raise InputError("walk Laplacian has no positive eigenvalue")
-    return result.gap
+    """Spectral gap of the walk Laplacian of a connected graph; it exists,
+    since mu > 0 leaves no isolated vertex, so n >= 2."""
+    if not walk.graph.connected:
+        raise InputError("the walk's spectral gap is defined for connected graphs")
+    return spectrum(delta_operator(walk)).gap
 
 
 def measured_gap(graph: MeasuredGraph) -> float:

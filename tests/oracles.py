@@ -101,6 +101,21 @@ def brute_distances(graph):
     return dist
 
 
+def brute_components(graph):
+    """Component label of each vertex: the classes of finite Floyd-Warshall
+    distance, numbered 0, 1, ... in order of their first vertex."""
+    dist = brute_distances(graph)
+    labels = [-1] * graph.n
+    count = 0
+    for v in range(graph.n):
+        if labels[v] < 0:
+            for u in range(graph.n):
+                if dist[v][u] < math.inf:
+                    labels[u] = count
+            count += 1
+    return labels
+
+
 def brute_profile_value(graph, alpha: Fraction, radius: int):
     """Exact min of m(annulus_R A)/m(A) over alpha m(V) <= m(A) <= m(V)/2."""
     return brute_profile_minimizers(graph, alpha, radius)[0]

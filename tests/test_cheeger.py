@@ -246,6 +246,15 @@ class TestAsymptoticProfile:
             for radius in (1, 2):
                 assert prof.value(alpha, radius) == oracles.brute_profile_value(g, alpha, radius)
 
+    def test_disconnected_graph_with_explicit_radii_matches_brute_force(self):
+        # a 4-vertex path plus a disjoint edge; only the default radii need a diameter
+        g = MeasuredGraph.build(6, [(0, 1), (1, 2), (2, 3), (4, 5)], [1] * 6)
+        alphas = [Fraction(1, 6), Fraction(1, 3), Fraction(1, 2)]
+        prof = asymptotic_profile(g, alphas, radii=[1, 2])
+        values = [prof.value(alpha, radius) for alpha in alphas for radius in (1, 2)]
+        assert values == [oracles.brute_profile_value(g, alpha, radius) for alpha in alphas for radius in (1, 2)]
+        assert any(values)
+
     def test_alpha_validation(self):
         with pytest.raises(ValueError, match="alpha"):
             asymptotic_profile(make_cycle(4), [Fraction(3, 4)])

@@ -145,6 +145,21 @@ class TestMetric:
             if g.connected:
                 assert diameter(g) == max(max(row) for row in oracles.brute_distances(g))
 
+    def test_components_match_finite_distance_classes(self):
+        rng = random.Random(6)
+        graphs = [helpers.possibly_disconnected(rng) for _ in range(20)] + [MeasuredGraph.build(1, [], [1])]
+        for _ in range(20):  # blobs and isolated vertices, their vertices shuffled
+            blobs = helpers.possibly_disconnected(rng)
+            n = blobs.n + rng.randrange(1, 4)
+            order = rng.sample(range(n), n)
+            graphs.append(MeasuredGraph.build(n, [(order[u], order[v]) for u, v in blobs.edges], [1] * n))
+        assert any(g.connected for g in graphs) and any(not g.connected for g in graphs)
+        for g in graphs:
+            labels = oracles.brute_components(g)
+            assert list(g._component_of) == labels
+            assert g.component_count == max(labels) + 1
+            assert g.connected == (max(labels) == 0)
+
 
 class TestBoundaries:
     def test_cycle_vertex_boundary(self):

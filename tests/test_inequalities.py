@@ -58,6 +58,15 @@ class TestCheegerSandwich:
         lower = verify_cheeger_sandwich(auxiliary_walk(make_cycle(6))).checks[0]
         assert lower.lhs == Fraction(1, 18)  # c^2/2, not its float
 
+    def test_disconnected_walk_refused_before_the_enumeration(self, monkeypatch):
+        def unreachable(*args):
+            raise AssertionError("the enumeration ran for a disconnected walk")
+
+        monkeypatch.setattr(cheeger, "_minimize_ratio", unreachable)
+        split = MeasuredGraph.build(4, [(0, 1), (2, 3)], [1] * 4)
+        with pytest.raises(InputError, match="connected graphs"):
+            verify_cheeger_sandwich(from_conductance(split, {(0, 1): 1, (2, 3): 1}))
+
     def test_k2_upper_equality(self):
         report = verify_cheeger_sandwich(auxiliary_walk(k2()))
         assert report.holds

@@ -219,8 +219,9 @@ class TestOptimizer:
         assert a.estimate == b.estimate and a.minimizer == b.minimizer
 
     def test_stall_rule_loses_nothing_against_the_fixed_budget(self):
-        # the full 800-iteration loop is the reference; stopping when the
-        # best ratio stalls may not leave a worse estimate behind
+        # the full 800-iteration first-order loop is the reference; the
+        # 10-step batch and the Newton polish of its best rows, which stop
+        # once no step lowers a row's ratio, may not leave a worse estimate
         rng = random.Random(11)
         for i in range(4):
             w = helpers.rand_walk(rng, 3, 8)

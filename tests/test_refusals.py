@@ -21,6 +21,7 @@ from mexp import (
     auxiliary_walk,
     cheeger_conductance,
     coarea_check,
+    delta_gap,
     diameter,
     distance_gap_bound,
     eigenpairs,
@@ -151,6 +152,7 @@ LIBRARY = {
         "strictly positive",
     ),
     "coarea-length": (lambda: coarea_check(_c4_walk(), [1, 2]), InputError, "has 2 entries for 4"),
+    "delta-gap-disconnected": (lambda: delta_gap(_split_walk()), InputError, "connected graphs"),
     "gap-single-vertex": (lambda: measured_gap(SINGLE), InputError, "no positive eigenvalue"),
     # walks.py
     "conflicting-orientations": (
@@ -251,6 +253,7 @@ COMMANDS = {
         "at least one restart",
     ),
     "lambda-disconnected": (["spectrum", "--input", "{doc}", "--operator", "lambda"], SPLIT, "connected graphs"),
+    "sandwich-disconnected": (["verify", "--input", "{doc}", "--theorem", "cheeger-sandwich"], SPLIT, "connected graphs"),
     "distance-disconnected": (
         ["verify", "--input", "{doc}", "--theorem", "distance-bound", "--set-a", "a", "--set-b", "c"],
         SPLIT,
@@ -279,6 +282,14 @@ def test_command_refusal(case, capsys, tmp_path):
     code, out, err = _run(capsys, *(arg.format(**paths) for arg in argv))
     assert code == 2 and out == "" and "Traceback" not in err
     assert fragment in err
+
+
+def test_delta_spectrum_of_a_disconnected_walk_is_reported(capsys, tmp_path):
+    # the gap that verifiers refuse is still the spectrum's eigenvalue after the kernel
+    code, out, err = _run(capsys, "spectrum", "--input", _write(tmp_path, "g.json", SPLIT), "--operator", "delta")
+    assert code == 0, err
+    results = json.loads(out)["results"]
+    assert results["zero_multiplicity"] == 2 and results["gap"] == 2.0
 
 
 def test_member_without_full_support_is_refused_by_certify(capsys, tmp_path):
