@@ -30,16 +30,16 @@ _POLISHED_ROWS = 8
 
 @dataclass(frozen=True)
 class PoincareEstimate:
-    """Best energy ratio found by optimal_lp_constant.
+    """Best energy ratio found by optimal_lp_constant, by `method` "eigensolve" (p = 2) or "optimizer".
 
-    The minimizer is the Newton-polished row of least unsmoothed ratio (ratios within 1e-14
-    of it tie, and the batch's order breaks ties), signed to make its first largest-magnitude
-    entry positive; the estimate, that ratio, is an upper bound on the true constant.
-    `converged` means the minimizer's own Newton stop fired within max_iters; `gradient_norm`
-    is its projected gradient norm; `iterations` counts batch plus lockstep Newton steps.
+    The minimizer is the row of least unsmoothed ratio, signed to make its first largest-magnitude
+    entry positive; the estimate, that ratio, is an upper bound on the true constant.  `converged` is
+    true at p = 2 and elsewhere means the minimizer's own Newton stop fired within max_iters;
+    `gradient_norm` is its projected gradient norm; `iterations` counts batch plus lockstep Newton steps.
     """
 
     p: float
+    method: str
     estimate: float
     minimizer: tuple[float, ...]
     restarts: int
@@ -179,16 +179,15 @@ def _ratio(edge: float, pair: float) -> float:
 def optimal_lp_constant(
     walk: ReversibleWalk, p: float, restarts: int = 64, seed: int = 0, max_iters: int = 800
 ) -> PoincareEstimate:
-    """Multi-start projected gradient descent on the Lp energy ratio, then Newton on the best rows.
+    """Least Lp energy ratio found: the delta-pencil optimum at p = 2, a multi-start search elsewhere.
 
-    The batch, `restarts` rows of _gaussian_rows and the delta-pencil eigenvector of the first
-    nonzero eigenvalue (the optimum at p = 2), takes 10 backtracked steps in lockstep.  Then its
-    8 best rows in range take Newton steps in lockstep, with the Hessian on the tangent space of
-    the sphere orthogonal to the constants: along each eigenvector a Newton step scaled by the
-    absolute curvature, or the batch's gradient step where that is below 1e-12 of the largest,
-    halved until the row's ratio falls by a tenth of the first-order decrease (Armijo's rule).
-    A row stops once no halved step does or one lowers the ratio by at most 1e-14 times itself;
-    max_iters caps both phases.  For p < 2 both descend a smoothed ratio (eps = 1e-9).
+    The start rows are `restarts` rows of _gaussian_rows, none at p = 2, and the eigenvector of the first
+    nonzero delta-pencil eigenvalue, the optimum at p = 2, where no step is taken.  Elsewhere they take 10
+    backtracked steps in lockstep; then the 8 best in range take Newton steps in lockstep on the sphere
+    orthogonal to the constants, along each Hessian eigenvector scaled by the absolute curvature (the batch's
+    step where that is below 1e-12 of the largest), halved until the ratio falls by a tenth of the first-order
+    decrease (Armijo's rule).  A row stops once no halved step does or one lowers its ratio by at most 1e-14
+    times itself; max_iters caps both phases.  For p < 2 both descend a smoothed ratio (eps = 1e-9).
     """
     _check_exponent(p)
     n = walk.graph.n
@@ -198,12 +197,12 @@ def optimal_lp_constant(
         raise InputError("need at least one restart")
     form = _walk_arrays(walk)
     eps = _SMOOTHING_EPS if p < 2 else 0.0
-    F = _project(np.vstack([_gaussian_rows(seed, restarts, n), eigenpairs(delta_operator(walk))[1][:, 1]]))
+    F = _project(np.vstack([_gaussian_rows(seed, 0 if p == 2 else restarts, n), eigenpairs(delta_operator(walk))[1][:, 1]]))
     with np.errstate(all="ignore"):  # at an extreme p no start row's energies are in range
         edge, pair = _energies(form, F, p, eps)
         ratio = edge / pair
     eta, iterations = np.full(len(F), 0.1), 0
-    while iterations < min(_BATCH_STEPS, max_iters) and _in_range(edge, pair).any():  # no row out of range steps
+    while iterations < min(0 if p == 2 else _BATCH_STEPS, max_iters) and _in_range(edge, pair).any():  # no row out of range steps
         grad = _ratio_gradient(form, F, p, eps, edge, pair)
         tangent = grad - (grad * F).sum(axis=1, keepdims=True) * F
         tangent = tangent - tangent.mean(axis=1, keepdims=True)
@@ -221,7 +220,7 @@ def optimal_lp_constant(
     if not best.size:
         raise InputError(f"at p = {p!r} the energies leave the float range the search needs, 1e-150 to 1e150")
     F, edge, pair, eta = F[best], edge[best], pair[best], eta[best]
-    converged = np.zeros(len(best), dtype=bool)  # a row steps until its stop fires
+    converged = np.full(len(best), p == 2)  # a row steps until its stop fires
     ladder = np.split(0.5 ** np.arange(40), [1, 9, 17, 25, 33])  # the full step, then 8 halvings at a time
     while not converged.all() and iterations < max_iters:
         iterations += 1
@@ -247,10 +246,11 @@ def optimal_lp_constant(
                 break
         converged[rows] = ratio - edge[rows] / pair[rows] <= 1e-14 * ratio  # so does a row that no factor moved
     final = np.divide(*_energies(form, F, p, 0.0))
-    w = np.flatnonzero(final <= final.min() * (1.0 + 1e-14))[0]  # ties: within the Newton stop's 1e-14
+    w = final.argmin()
     f, grad = F[w], _ratio_gradient(form, F[[w]], p, eps, edge[[w]], pair[[w]])[0]
     return PoincareEstimate(
         p=float(p),
+        method="eigensolve" if p == 2 else "optimizer",
         estimate=float(final[w]),
         minimizer=tuple(float(x) for x in f * np.sign(f[np.abs(f).argmax()])),
         restarts=restarts,

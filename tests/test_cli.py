@@ -734,38 +734,38 @@ class TestGoldenResults:
 
     # Re-pinned for the Newton finish and the canonical sign (largest entry
     # positive).  The estimates are the 800-iteration loop's to 1e-12; at
-    # p = 2 the delta start row is the optimum, so after the 10-step batch its
-    # first Newton step finds no decrease, and it wins the round-off tie among
-    # the polished rows (iterations counts the lockstep steps until the last
-    # of them stops).  At p = 1.5 the ratio is flat to second order at the
-    # optimum, so the minimizer (to about 1e-8) and gradient_norm are
-    # round-off: re-pinned for the 8-row Newton polish.  The byte-drawn starts
-    # left every value but the p = 1.5 step count (19 -> 18) where it was
+    # p = 2 the delta eigenvector is the optimum and the only row, and takes
+    # no step.  At p = 1.5 the ratio is flat to second order at the optimum,
+    # so the minimizer (to about 1e-8) and gradient_norm are round-off:
+    # re-pinned for the plain least-ratio pick among the polished rows.
     @pytest.mark.parametrize(
-        "p, estimate, gradient_norm, iterations, minimizer",
+        "p, method, estimate, gradient_norm, iterations, minimizer",
         [
             (
                 2.0,
+                "eigensolve",
                 0.7059414246435104,
                 7.572906315770594e-16,
-                14,
+                0,
                 [0.32441744016323176, 0.6461482234682799, -0.5411708632557857, -0.429394800375726],
             ),
             (
                 1.5,
-                0.7534301401265697,
-                6.9354779740755525e-12,
+                "optimizer",
+                0.7534301401265692,
+                3.7273330903418144e-17,
                 18,
-                [0.4264487700883403, 0.5682402177918143, -0.5137976101955192, -0.4808913776846355],
+                [0.4264487700872195, 0.5682402177927598, -0.5137976101962787, -0.4808913776837006],
             ),
         ],
         ids=["p2", "p1.5"],
     )
-    def test_poincare(self, capsys, document, p, estimate, gradient_norm, iterations, minimizer):
+    def test_poincare(self, capsys, document, p, method, estimate, gradient_norm, iterations, minimizer):
         assert_same(
             self.results(capsys, "poincare", "--input", document, "--p", str(p), "--restarts", "4"),
             {
                 "p": p,
+                "method": method,
                 "estimate": estimate,
                 "restarts": 4,
                 "converged": True,
@@ -1218,4 +1218,4 @@ class TestReadme:
         assert scope["gap"] == pytest.approx(0.5, abs=1e-12)
         assert scope["report"].holds
         est = scope["est"]
-        assert est.estimate == pytest.approx(0.5, abs=1e-12) and est.converged and est.iterations == 12
+        assert est.estimate == pytest.approx(0.5, abs=1e-12) and est.method == "eigensolve" and est.iterations == 0

@@ -1,3 +1,4 @@
+import dataclasses
 import math
 import random
 import tracemalloc
@@ -318,8 +319,31 @@ class TestOptimizer:
 
     def test_max_iters_caps_the_search(self):
         w = helpers.rand_walk(random.Random(12), 6, 9)
-        est = optimal_lp_constant(w, 2.0, restarts=8, seed=1, max_iters=5)
+        est = optimal_lp_constant(w, 3.0, restarts=8, seed=1, max_iters=5)
         assert est.iterations == 5 and est.converged is False
+
+    def test_p2_is_one_eigensolve(self):
+        # at p = 2 the delta eigenvector is the optimum and the only row: no step
+        # is taken, so restarts, seed and max_iters cannot change the result
+        rng = random.Random(21)
+        for i in range(200):
+            w = helpers.rand_walk(rng, 3, 14)
+            est = optimal_lp_constant(w, 2.0, restarts=rng.randrange(1, 65), seed=i)
+            assert est.method == "eigensolve" and est.iterations == 0 and est.converged, i
+            assert est.estimate == pytest.approx(delta_gap(w), rel=1e-12), i
+            other = optimal_lp_constant(w, 2.0, restarts=1, seed=rng.randrange(1 << 31), max_iters=rng.choice([0, 1, 800]))
+            assert dataclasses.replace(other, restarts=est.restarts) == est, i
+
+    def test_p2_draws_no_start_rows(self):
+        # 10^5 Gaussian rows at n = 8 would take over 12 MB of words alone
+        w = helpers.rand_walk(random.Random(22), 8, 8)
+        tracemalloc.start()
+        try:
+            est = optimal_lp_constant(w, 2.0, restarts=10**5)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert est.restarts == 10**5 and peak < 100_000, peak
 
     def test_incidence_gradient_matches_scattered_adds(self):
         rng = random.Random(13)
